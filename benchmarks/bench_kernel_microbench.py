@@ -9,7 +9,11 @@ For each angular-momentum shape class (ss, pp, dd, sp-mixed) this times
 under ``QF_KERNELS=scalar`` and ``QF_KERNELS=batched``, asserting the
 two modes agree bit-identically on every matrix they build. It also
 records the per-task dispatch payload (pickled ``FragmentTask`` vs the
-shm wire tuples of :mod:`repro.pipeline.shm`).
+shm wire tuples of :mod:`repro.pipeline.shm`), and times the Hermite
+Coulomb kernel ``hermite_coulomb_vec`` for total orders L = 1..7: the
+exact recursion-row and output-entry counts of the bounded, planned
+kernel next to those of the dense (L, L, L) cube it replaced, and the
+wall time per call at a fixed number of charge pairs.
 
 Times are best-of-``REPEATS`` wall clock, reported as ns per shell
 pair so classes of different size are comparable.
@@ -19,6 +23,7 @@ Under pytest:    pytest benchmarks/bench_kernel_microbench.py -m slow
 Via make:        make bench-kernels
 """
 
+import os
 import sys
 import time
 from pathlib import Path
@@ -146,12 +151,52 @@ def _payload() -> dict:
     }
 
 
+#: charge pairs per timed ``hermite_coulomb_vec`` call
+R_KERNEL_N = 4096
+
+
+def _dense_cube_rows(L: int) -> int:
+    """Recursion rows of the dense contract: R^m_tuv for every t, u, v
+    <= L with m <= 3L - (t+u+v), the Boys function run to order 3L."""
+    return sum(3 * L - (t + u + v) + 1
+               for t in range(L + 1) for u in range(L + 1)
+               for v in range(L + 1))
+
+
+def _r_kernel() -> dict:
+    from repro.integrals.engine import _r_plan, hermite_combos, hermite_coulomb_vec
+
+    rng = np.random.default_rng(11)
+    p = rng.uniform(0.1, 20.0, R_KERNEL_N)
+    pq = rng.uniform(-3.0, 3.0, (R_KERNEL_N, 3))
+    rows = {}
+    for L in range(1, 8):
+        row = {
+            "recursion_rows": _r_plan(L).nrows,
+            "dense_cube_rows": _dense_cube_rows(L),
+            "entries_out": len(hermite_combos(L, L, L, L)),
+            "dense_cube_entries": (L + 1) ** 3,
+            "us_per_call": 1e6 * _best_of(
+                lambda L=L: hermite_coulomb_vec(L, p, pq), repeats=10
+            ),
+        }
+        rows[str(L)] = row
+        print(f"  R kernel L={L}: {row['recursion_rows']} rows "
+              f"(dense cube {row['dense_cube_rows']}), "
+              f"{row['entries_out']} entries (cube "
+              f"{row['dense_cube_entries']}), "
+              f"{row['us_per_call']:.0f} us/call at n={R_KERNEL_N}")
+    return {"n": R_KERNEL_N, "cores": len(os.sched_getaffinity(0)),
+            "orders": rows}
+
+
 def run_microbench() -> dict:
     rows = {
         label: _bench_class(label, ls, npts, with_eri)
         for label, (ls, npts, with_eri) in CLASSES.items()
     }
-    payload = {"classes": rows, "task_payload": _payload()}
+    payload = {"classes": rows, "task_payload": _payload(),
+               "hermite_coulomb": _r_kernel()}
     save_result("bench_kernel_microbench", payload)
     return payload
 
@@ -163,6 +208,7 @@ def test_kernel_microbench():
         # bit-identity between dispatch modes is the hard contract
         assert row["max_abs_deviation"] == 0.0, label  # qf: exact-zero
     assert payload["task_payload"]["payload_reduction"] >= 10.0
+    assert payload["hermite_coulomb"]["orders"]["5"]["recursion_rows"] == 126
 
 
 if __name__ == "__main__":

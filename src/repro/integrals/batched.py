@@ -327,14 +327,16 @@ def scatter_pairs_2c(target: np.ndarray, bra, ket,
     target.reshape(-1)[flat] = vals.ravel()
 
 
-def scatter_eri_deriv(target: np.ndarray, bra, ket,
-                      vals: np.ndarray) -> None:
+def scatter_eri_deriv(target: np.ndarray, bra, ket, vals: np.ndarray,
+                      vals_t: np.ndarray) -> None:
     """Scatter (npb, na, nb, npk, nc, nd) derivative ERI values.
 
-    ``target`` is one (nbf, nbf, nbf, nbf) derivative slab; bra pairs
-    are ordered (no bra image), ket pairs canonical, so the only image
-    is the ket swap — masked to off-diagonal ket pairs exactly like
-    the scalar loop. Write sets are disjoint.
+    ``target`` is one (nbf, nbf, nbf, nbf) derivative slab; bra and ket
+    pairs are canonical. ``vals`` (the d/dA slab) lands at
+    ``[a, b, c, d]``; the bra image ``[b, a, c, d]`` of off-diagonal bra
+    pairs comes from ``vals_t`` (the d/dB slab), bra-transposed. Each
+    carries the ket-swap image ``[., ., d, c]`` of off-diagonal ket
+    pairs. Masks match the scalar loop and write sets are disjoint.
     """
     na, nb = vals.shape[1], vals.shape[2]
     nc, nd = vals.shape[4], vals.shape[5]
@@ -349,22 +351,34 @@ def scatter_eri_deriv(target: np.ndarray, bra, ket,
         cols = bra.off_b[:, None] + np.arange(nb)[None, :]      # (npb, nb)
         kidx = ket.off_a[:, None] + np.arange(nc)[None, :]      # (npk, nc)
         lidx = ket.off_b[:, None] + np.arange(nd)[None, :]      # (npk, nd)
-        pair_flat = (rows[:, :, None] * nbf + cols[:, None, :])  # (npb, na, nb)
+        off_b = bra.off_a != bra.off_b
+        off_k = ket.off_a != ket.off_b
+        # image axes ordered (nb, na) / (nd, nc) to line up with the
+        # transposed vals
+        bra_flat = rows[:, :, None] * nbf + cols[:, None, :]     # (npb, na, nb)
+        bra_flat_t = (cols[off_b][:, :, None] * nbf
+                      + rows[off_b][:, None, :])                 # (nob, nb, na)
         ket_flat = kidx[:, :, None] * nbf + lidx[:, None, :]     # (npk, nc, nd)
-        flat = (pair_flat[:, :, :, None, None, None] * (nbf * nbf)
-                + ket_flat[None, None, None, :, :, :])
-        off_diag = ket.off_a != ket.off_b
-        # image axes ordered (nd, nc) to line up with the transposed vals
-        ket_flat_t = (lidx[off_diag][:, :, None] * nbf
-                      + kidx[off_diag][:, None, :])              # (nod, nd, nc)
-        flat_t = (pair_flat[:, :, :, None, None, None] * (nbf * nbf)
-                  + ket_flat_t[None, None, None, :, :, :])
-        plan = (flat.ravel(), off_diag, flat_t.ravel())
+        ket_flat_t = (lidx[off_k][:, :, None] * nbf
+                      + kidx[off_k][:, None, :])                 # (nok, nd, nc)
+
+        def outer(bf, kf):
+            return (bf[:, :, :, None, None, None] * (nbf * nbf)
+                    + kf[None, None, None, :, :, :]).ravel()
+
+        plan = (off_b, off_k,
+                outer(bra_flat, ket_flat), outer(bra_flat, ket_flat_t),
+                outer(bra_flat_t, ket_flat), outer(bra_flat_t, ket_flat_t))
         cache[key] = plan
-    flat, off_diag, flat_t = plan
+    off_b, off_k, flat, flat_k, flat_b, flat_bk = plan
     out = target.reshape(-1)
     out[flat] = vals.ravel()
-    if flat_t.size:
-        out[flat_t] = vals[:, :, :, off_diag].transpose(
-            0, 1, 2, 3, 5, 4
-        ).ravel()
+    if flat_k.size:
+        out[flat_k] = vals[:, :, :, off_k].transpose(0, 1, 2, 3, 5, 4).ravel()
+    if flat_b.size:
+        img = vals_t[off_b].transpose(0, 2, 1, 3, 4, 5)
+        out[flat_b] = img.ravel()
+        if flat_bk.size:
+            out[flat_bk] = img[:, :, :, off_k].transpose(
+                0, 1, 2, 3, 5, 4
+            ).ravel()

@@ -23,8 +23,10 @@ in :mod:`repro.integrals.mcmurchie` and against finite differences.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -148,69 +150,133 @@ def hermite_combos(lmax_total: int, tmax: int, umax: int, vmax: int
     return out
 
 
-def hermite_coulomb_vec(tmax: int, umax: int, vmax: int,
-                        p: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """Hermite Coulomb tensor R_{tuv} over an array of charge pairs.
+@lru_cache(maxsize=None)
+def hermite_index(L: int) -> Mapping[tuple[int, int, int], int]:
+    """Column of each (t, u, v) in the packed order of
+    ``hermite_combos(L, L, L, L)`` — the layout of
+    :func:`hermite_coulomb_vec`'s output."""
+    return MappingProxyType(
+        {c: k for k, c in enumerate(hermite_combos(L, L, L, L))}
+    )
+
+
+@lru_cache(maxsize=None)
+def hermite_sum_index(lbra: int, lket: int) -> np.ndarray:
+    """Packed R columns of every bra+ket Hermite index sum.
+
+    Entry ``[i, j]`` is the column of ``combos_b[i] + combos_k[j]`` in
+    ``hermite_coulomb_vec(lbra + lket, ...)``, where ``combos_b`` and
+    ``combos_k`` are ``hermite_combos`` of ``lbra`` and ``lket``. Every
+    sum has total order <= lbra + lket, so every entry is a real column.
+    """
+    index = hermite_index(lbra + lket)
+    combos_b = hermite_combos(lbra, lbra, lbra, lbra)
+    combos_k = hermite_combos(lket, lket, lket, lket)
+    table = np.array([
+        [index[(t + tt, u + uu, v + vv)] for (tt, uu, vv) in combos_k]
+        for (t, u, v) in combos_b
+    ], dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True)
+class _RPlan:
+    """Recursion plan for R^m_{tuv}, t+u+v <= L, m <= L-(t+u+v).
+
+    Rows of the work buffer are grouped by total order; rows 0..L are
+    the Boys seeds R^m_{000}. Each later level ``(lo, hi, axis, src1,
+    n2, coef, src2)`` fills rows ``lo:hi`` as
+    ``PQ[axis] * buf[src1] + coef * buf[src2]``, the second term only
+    for the first ``n2`` rows (the ones with a raised index >= 2).
+    ``out_rows`` lists the m = 0 row of each packed (t, u, v) column.
+    """
+
+    nrows: int
+    levels: tuple[tuple[int, int, np.ndarray, np.ndarray, int,
+                        np.ndarray, np.ndarray], ...]
+    out_rows: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _r_plan(L: int) -> _RPlan:
+    combos = hermite_combos(L, L, L, L)
+    row = {(0, 0, 0, m): m for m in range(L + 1)}
+    nrows = L + 1
+    levels = []
+    for total in range(1, L + 1):
+        # (axis, index, target, lowered-by-1, lowered-by-2) per combo,
+        # recursing on the first nonzero index exactly like mcmurchie
+        specs = []
+        for (t, u, v) in combos:
+            if t + u + v != total:
+                continue
+            axis = 0 if t > 0 else (1 if u > 0 else 2)
+            step = [0, 0, 0]
+            step[axis] = 1
+            one = (t - step[0], u - step[1], v - step[2])
+            two = (t - 2 * step[0], u - 2 * step[1], v - 2 * step[2])
+            specs.append((axis, (t, u, v)[axis], (t, u, v), one, two))
+        # rows with a second term first, so it updates a leading slice
+        specs.sort(key=lambda s: s[1] < 2)
+        lo = nrows
+        axes, src1, src2, coef = [], [], [], []
+        for axis, k, tuv, one, two in specs:
+            for m in range(L - total + 1):
+                row[tuv + (m,)] = nrows
+                nrows += 1
+                axes.append(axis)
+                src1.append(row[one + (m + 1,)])
+                if k >= 2:
+                    src2.append(row[two + (m + 1,)])
+                    coef.append(float(k - 1))
+        levels.append((
+            lo, nrows, np.array(axes, dtype=np.intp),
+            np.array(src1, dtype=np.intp), len(src2),
+            np.array(coef)[:, None], np.array(src2, dtype=np.intp),
+        ))
+    out_rows = np.array([row[c + (0,)] for c in combos], dtype=np.intp)
+    return _RPlan(nrows=nrows, levels=tuple(levels), out_rows=out_rows)
+
+
+def hermite_coulomb_vec(L: int, p: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Hermite Coulomb entries R^0_{tuv} with t+u+v <= L over charge pairs.
 
     Parameters
     ----------
-    tmax, umax, vmax:
-        Per-dimension maxima; only entries with ``t+u+v <= tmax+?``
-        bounded by ``L = max total`` are populated (others stay zero).
+    L:
+        Total Hermite order; the Boys function is evaluated to order L.
     p:
         Combined exponents, shape (n,).
     pq:
         Center separations P-Q, shape (n, 3).
 
-    Returns shape ``(n, tmax+1, umax+1, vmax+1)``.
+    Returns the packed shape ``(n, ncombos)``: column k holds
+    ``combos[k]`` of ``hermite_combos(L, L, L, L)`` (see
+    :func:`hermite_index` / :func:`hermite_sum_index` for gathers).
+    The recursion follows a cached per-L :class:`_RPlan` through one
+    preallocated ``(rows, n)`` buffer.
     """
     p = np.asarray(p, dtype=float).ravel()
     pq = np.asarray(pq, dtype=float).reshape(-1, 3)
     n = p.size
-    L = tmax + umax + vmax
+    plan = _r_plan(L)
     t_arg = p * np.einsum("ij,ij->i", pq, pq)
     f = boys_vec(L, t_arg)  # (n, L+1)
+    buf = np.empty((plan.nrows, n))
     # R^m_{000} = (-2p)^m F_m
     m2p = -2.0 * p
-    levels: dict[tuple[int, int, int], np.ndarray] = {}
-    # store R^m for each (t,u,v) as we build up total order; keep the m
-    # dimension explicitly: rm[(t,u,v)] has shape (n, L - (t+u+v) + 1)
-    rm: dict[tuple[int, int, int], np.ndarray] = {}
-    base = np.empty((n, L + 1))
     acc = np.ones(n)
     for m in range(L + 1):
-        base[:, m] = acc * f[:, m]
+        buf[m] = acc * f[:, m]
         acc = acc * m2p
-    rm[(0, 0, 0)] = base
-    x, y, z = pq[:, 0], pq[:, 1], pq[:, 2]
-    for total in range(1, L + 1):
-        for t in range(min(total, tmax) + 1):
-            for u in range(min(total - t, umax) + 1):
-                v = total - t - u
-                if v < 0 or v > vmax:
-                    continue
-                nm = L - total + 1
-                if t > 0:
-                    prev = rm[(t - 1, u, v)]
-                    val = x[:, None] * prev[:, 1: nm + 1]
-                    if t > 1:
-                        val = val + (t - 1) * rm[(t - 2, u, v)][:, 1: nm + 1]
-                elif u > 0:
-                    prev = rm[(t, u - 1, v)]
-                    val = y[:, None] * prev[:, 1: nm + 1]
-                    if u > 1:
-                        val = val + (u - 1) * rm[(t, u - 2, v)][:, 1: nm + 1]
-                else:
-                    prev = rm[(t, u, v - 1)]
-                    val = z[:, None] * prev[:, 1: nm + 1]
-                    if v > 1:
-                        val = val + (v - 1) * rm[(t, u, v - 2)][:, 1: nm + 1]
-                rm[(t, u, v)] = val
-    out = np.zeros((n, tmax + 1, umax + 1, vmax + 1))
-    for (t, u, v), arr in rm.items():
-        if t <= tmax and u <= umax and v <= vmax:
-            out[:, t, u, v] = arr[:, 0]
-    return out
+    xyz = pq.T
+    for lo, hi, axes, src1, n2, coef, src2 in plan.levels:
+        seg = buf[lo:hi]
+        np.multiply(xyz[axes], buf[src1], out=seg)
+        if n2:
+            seg[:n2] += coef * buf[src2]
+    return np.ascontiguousarray(buf[plan.out_rows].T)
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +561,7 @@ class IntegralEngine:
         p = blk.p.reshape(npair, k2)
         pc = blk.pc.reshape(npair, k2, 3)
         ltot = 2 * l_half
-        ti = np.empty((nk, nk), dtype=int)
-        ui = np.empty_like(ti)
-        vi = np.empty_like(ti)
-        for i, (t, u, v) in enumerate(combos):
-            for j, (tt, uu, vv) in enumerate(combos):
-                ti[i, j] = min(t + tt, ltot)
-                ui[i, j] = min(u + uu, ltot)
-                vi[i, j] = min(v + vv, ltot)
+        sum_idx = hermite_sum_index(l_half, l_half)
         out = np.empty(npair)
         chunk = max(1, element_budget // max(1, k2 * k2 * nk))
         for start in range(0, npair, chunk):  # qf: shell-loop — chunked over the element budget; body vectorized
@@ -514,10 +573,8 @@ class IntegralEngine:
             alpha = pb * pk / (pb + pk)
             pref = 2.0 * math.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk))
             pq = pcs[:, :, None, :] - pcs[:, None, :, :]
-            r = hermite_coulomb_vec(
-                ltot, ltot, ltot, alpha.ravel(), pq.reshape(-1, 3)
-            ).reshape(stop - start, k2, k2, ltot + 1, ltot + 1, ltot + 1)
-            rsel = r[:, :, :, ti, ui, vi]            # (n, k2, k2, nk, nk)
+            r = hermite_coulomb_vec(ltot, alpha.ravel(), pq.reshape(-1, 3))
+            rsel = r[:, sum_idx].reshape(stop - start, k2, k2, nk, nk)
             rsel *= pref[..., None, None]
             vals = np.einsum(
                 "rixm,rijmn,rjyn->rxy",
@@ -616,9 +673,10 @@ class IntegralEngine:
         nprim = blk.nprim
         pc = blk.pc[:, None, :] - self.coords[None, :, :]
         p_rep = np.repeat(blk.p, natm)
-        r = hermite_coulomb_vec(l_tot, l_tot, l_tot, p_rep, pc.reshape(-1, 3))
-        r = r.reshape(nprim, natm, *r.shape[1:])
-        rsel = np.stack([r[:, :, t, u, v] for (t, u, v) in combos], axis=-1)
+        # packed columns are already in ``combos`` order
+        rsel = hermite_coulomb_vec(l_tot, p_rep, pc.reshape(-1, 3)).reshape(
+            nprim, natm, len(combos)
+        )
         # prim-level value per nucleus: -(2 pi / p) * z_C * sum_k e3 * R
         pref = 2.0 * math.pi / blk.p
         contrib = np.einsum("nck,nak->nac", e3, rsel)  # (nprim, natm, ncomp)
@@ -745,7 +803,7 @@ class IntegralEngine:
         lbra = la + lb
         combos_b = hermite_combos(lbra, lbra, lbra, lbra)
         e3b = _e3_components(bra.e_tensors(), la, lb, combos_b, weights=bra.cc)
-        out = self._coulomb_core(bra, ket, e3b[None, :, :, :], combos_b, lbra)[0]
+        out = self._coulomb_core(bra, ket, e3b[None, :, :, :], lbra)[0]
         return out.reshape(bra.npair, na, nb_, ket.npair, nc, nd)
 
     def coulomb_block_deriv(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
@@ -759,7 +817,7 @@ class IntegralEngine:
         combos_b = hermite_combos(lbra, lbra, lbra, lbra)
         exb = bra.e_tensors(da=1)
         e3d = _e3_deriv_components(exb, bra.a, la, lb, combos_b, weights=bra.cc)
-        out = self._coulomb_core(bra, ket, e3d, combos_b, lbra)
+        out = self._coulomb_core(bra, ket, e3d, lbra)
         na, nb_ = len(components(la)), len(components(lb))
         nc, nd = len(components(ket.la)), len(components(ket.lb))
         return out.reshape(3, bra.npair, na, nb_, ket.npair, nc, nd)
@@ -769,13 +827,13 @@ class IntegralEngine:
         bra: PairBlock,
         ket: PairBlock,
         e3b: np.ndarray,
-        combos_b: list[tuple[int, int, int]],
         lbra: int,
         element_budget: int = 400_000,
     ) -> np.ndarray:
         """Shared Coulomb contraction over stacked bra E3 variants.
 
-        ``e3b`` has shape (nvariants, nprim_bra, nab, ncombos_b). Both
+        ``e3b`` has shape (nvariants, nprim_bra, nab, ncombos_b), its
+        last axis in ``hermite_combos(lbra, ...)`` order. Both
         sides are chunked so the cross R tensor stays within the
         element budget (times the Hermite component count).
         """
@@ -788,17 +846,9 @@ class IntegralEngine:
         nab = e3b.shape[2]
         ncd = e3k.shape[1]
         ltot = lbra + lket
-        # gather index tables: combined Hermite index per (kb, kk)
-        ti = np.empty((len(combos_b), len(combos_k)), dtype=int)
-        ui = np.empty_like(ti)
-        vi = np.empty_like(ti)
-        for i, (t, u, v) in enumerate(combos_b):
-            for j, (tt, uu, vv) in enumerate(combos_k):
-                ti[i, j] = min(t + tt, ltot)
-                ui[i, j] = min(u + uu, ltot)
-                vi[i, j] = min(v + vv, ltot)
-                # entries with t+u+v sums beyond ltot point at zero-filled
-                # slots of the R tensor, so no masking is needed
+        # packed R column of each (bra combo + ket combo) index sum
+        sum_idx = hermite_sum_index(lbra, lket)
+        ncb, nck = sum_idx.shape
         out = np.zeros((nvar, bra.npair, nab, ket.npair, ncd))
         bchunk = max(1, element_budget // max(1, ket.nprim))
         bchunk = max(bra.k2, (bchunk // bra.k2) * bra.k2)
@@ -814,10 +864,8 @@ class IntegralEngine:
                 pb[:, None] * pk[None, :] * np.sqrt(pb[:, None] + pk[None, :])
             )
             pq = bra.pc[bs][:, None, :] - ket.pc[None, :, :]
-            r = hermite_coulomb_vec(
-                ltot, ltot, ltot, alpha.ravel(), pq.reshape(-1, 3)
-            ).reshape(nbp, ket.nprim, ltot + 1, ltot + 1, ltot + 1)
-            rsel = r[:, :, ti, ui, vi]  # (nbp, nkp, ncb, nck)
+            r = hermite_coulomb_vec(ltot, alpha.ravel(), pq.reshape(-1, 3))
+            rsel = r[:, sum_idx].reshape(nbp, ket.nprim, ncb, nck)
             rsel *= pref[:, :, None, None]
             # vals[var, bp, ab, kp, cd]
             vals = np.einsum(
@@ -825,8 +873,6 @@ class IntegralEngine:
             )
             # account the einsum as its two-GEMM decomposition: one
             # batched GEMM over bra primitives, one over ket primitives
-            ncb = len(combos_b)
-            nck = len(combos_k)
             self._record_class_gemm(nbp, nvar * nab, ket.nprim * nck, ncb)
             self._record_class_gemm(ket.nprim, nvar * nbp * nab, ncd, nck)
             vals = vals.reshape(
@@ -1109,17 +1155,19 @@ class _DerivMixin:
             pc = blk.pc[:, None, :] - self.coords[None, :, :]
             p_rep = np.repeat(blk.p, natm)
             # one extra index for both the bra-derivative (l_tot) and the
-            # operator derivative (raised index on the plain combos)
-            r = hermite_coulomb_vec(l_tot, l_tot, l_tot, p_rep, pc.reshape(-1, 3))
-            r = r.reshape(nprim, natm, l_tot + 1, l_tot + 1, l_tot + 1)
+            # operator derivative (raised index on the plain combos);
+            # packed columns are already in ``combos`` order
+            r = hermite_coulomb_vec(l_tot, p_rep, pc.reshape(-1, 3)).reshape(
+                nprim, natm, len(combos)
+            )
             pref = 2.0 * math.pi / blk.p
             na = len(components(la))
             nb = len(components(lb))
+            index = hermite_index(l_tot)
 
             # bra-slot derivative
-            rsel = np.stack([r[:, :, t, u, v] for (t, u, v) in combos], axis=-1)
             for d in range(3):
-                contrib = np.einsum("nck,nak->nac", e3d[d], rsel) * pref[:, None, None]
+                contrib = np.einsum("nck,nak->nac", e3d[d], r) * pref[:, None, None]
                 contrib = contrib.reshape(blk.npair, blk.k2, natm, -1).sum(axis=1)
                 total = -(contrib * self.charges[None, :, None]).sum(axis=1)
                 self._scatter_ordered(dv_bra[d], blk, total.reshape(blk.npair, na, nb))
@@ -1127,13 +1175,13 @@ class _DerivMixin:
             # Hellmann-Feynman: d/dCx R_tuv(P - C) = -(-R_{t+1,u,v}) = R with
             # raised index and opposite sign of the P-derivative
             for d in range(3):
-                raised = []
-                for (t, u, v) in combos0:
-                    idx = [t, u, v]
-                    idx[d] += 1
-                    raised.append(r[:, :, idx[0], idx[1], idx[2]])
-                rr = np.stack(raised, axis=-1)
-                contrib = np.einsum("nck,nak->nac", e3p, rr) * pref[:, None, None]
+                raised = [
+                    index[tuple(x + (axis == d) for axis, x in enumerate(tuv))]
+                    for tuv in combos0
+                ]
+                contrib = np.einsum(
+                    "nck,nak->nac", e3p, r[:, :, raised]
+                ) * pref[:, None, None]
                 contrib = contrib.reshape(blk.npair, blk.k2, natm, -1).sum(axis=1)
                 for c in range(natm):
                     # V = -Z (ab|C); d/dC = -Z * (+R_{raised}) ... sign: the
@@ -1165,100 +1213,8 @@ for _name in ("_ordered", "overlap_deriv", "kinetic_deriv", "nuclear_deriv",
 
 
 # ---------------------------------------------------------------------------
-# density-fitting derivative integrals
+# two-electron derivative integrals (DF 3-center/2-center, exact ERI)
 # ---------------------------------------------------------------------------
-
-def _df_deriv_methods():
-    """Extra IntegralEngine methods for DF gradient integrals."""
-
-    def three_center_deriv(self, aux_blocks: list[PairBlock], naux: int
-                           ) -> np.ndarray:
-        """d(ab|P)/d(center of a), shape (3, nbf, nbf, naux).
-
-        Covers *all ordered* orbital pairs, so the ket-orbital slot
-        derivative is the [x, nu, mu, P] entry, and the aux-center
-        derivative follows from translational invariance:
-        d/dP = -(d/dA + d/dB).
-        """
-        out = np.zeros((3, self.nbf, self.nbf, naux))
-        for bra in self._ordered():
-            na = len(components(bra.la))
-            nb = len(components(bra.lb))
-            for ket in aux_blocks:
-                nc = len(components(ket.la))
-                vals = self.coulomb_block_deriv(bra, ket)
-                # vals: (3, npb, na, nb, npk, nc, 1)
-                for rb in range(bra.npair):  # qf: shell-loop — scalar reference scatter
-                    oa, ob = bra.off_a[rb], bra.off_b[rb]
-                    for rk in range(ket.npair):  # qf: shell-loop — scalar reference scatter
-                        oc = ket.off_a[rk]
-                        out[:, oa: oa + na, ob: ob + nb, oc: oc + nc] = vals[
-                            :, rb, :, :, rk, :, 0
-                        ]
-        return out
-
-    def two_center_deriv(self, aux_blocks: list[PairBlock], naux: int
-                         ) -> np.ndarray:
-        """d(P|Q)/d(center of P), shape (3, naux, naux), all ordered (P, Q)."""
-        out = np.zeros((3, naux, naux))
-        for bra in aux_blocks:
-            na = len(components(bra.la))
-            for ket in aux_blocks:
-                nc = len(components(ket.la))
-                vals = self.coulomb_block_deriv(bra, ket)
-                if self.kernels == "batched":
-                    for d in range(3):
-                        scatter_pairs_2c(out[d], bra, ket,
-                                         vals[d, :, :, 0, :, :, 0])
-                    continue
-                for rb in range(bra.npair):  # qf: shell-loop — scalar reference scatter
-                    oa = bra.off_a[rb]
-                    for rk in range(ket.npair):  # qf: shell-loop — scalar reference scatter
-                        oc = ket.off_a[rk]
-                        out[:, oa: oa + na, oc: oc + nc] = vals[:, rb, :, 0, rk, :, 0]
-        return out
-
-    def eri_deriv(self) -> np.ndarray:
-        """dA-slot derivative of the exact ERI tensor.
-
-        Shape (3, nbf, nbf, nbf, nbf): entry [x, mu, nu, lm, sg] is
-        d(mu nu|lm sg)/d(center of mu). Ordered bra pairs, canonical
-        (symmetrized) ket pairs. Small systems only (nbf^4 memory).
-        """
-        out = np.zeros((3, self.nbf, self.nbf, self.nbf, self.nbf))
-        for bra in self._ordered():
-            na = len(components(bra.la))
-            nb = len(components(bra.lb))
-            for ket in self.blocks:
-                nc = len(components(ket.la))
-                nd = len(components(ket.lb))
-                vals = self.coulomb_block_deriv(bra, ket)
-                if self.kernels == "batched":
-                    for d in range(3):
-                        scatter_eri_deriv(out[d], bra, ket, vals[d])
-                    continue
-                for rb in range(bra.npair):  # qf: shell-loop — scalar reference scatter
-                    oa, ob = bra.off_a[rb], bra.off_b[rb]
-                    for rk in range(ket.npair):  # qf: shell-loop — scalar reference scatter
-                        oc, od = ket.off_a[rk], ket.off_b[rk]
-                        v = vals[:, rb, :, :, rk, :, :]
-                        out[:, oa: oa + na, ob: ob + nb,
-                            oc: oc + nc, od: od + nd] = v
-                        if oc != od:
-                            out[:, oa: oa + na, ob: ob + nb,
-                                od: od + nd, oc: oc + nc] = v.transpose(
-                                0, 1, 2, 4, 3
-                            )
-        return out
-
-    return three_center_deriv, two_center_deriv, eri_deriv
-
-
-(_tcd, _twd, _erd) = _df_deriv_methods()
-IntegralEngine.three_center_deriv = _tcd
-IntegralEngine.two_center_deriv = _twd
-IntegralEngine.eri_deriv = _erd
-
 
 def _e3_deriv_components_b(
     ex: list[np.ndarray],
@@ -1322,19 +1278,22 @@ def _coulomb_block_deriv_ab(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
     e3a = _e3_deriv_components(exb, bra.a, la, lb, combos_b, weights=bra.cc)
     e3bv = _e3_deriv_components_b(exb, bra.b, la, lb, combos_b, weights=bra.cc)
     stack = np.concatenate([e3a, e3bv], axis=0)
-    out = self._coulomb_core(bra, ket, stack, combos_b, lbra)
+    out = self._coulomb_core(bra, ket, stack, lbra)
     na, nb_ = len(components(la)), len(components(lb))
     nc, nd = len(components(ket.la)), len(components(ket.lb))
     return out.reshape(6, bra.npair, na, nb_, ket.npair, nc, nd)
 
 
-def _three_center_deriv_fast(self, aux_blocks: list[PairBlock], naux: int
-                             ) -> np.ndarray:
-    """d(ab|P)/d(center of a) over all ordered (a, b) from canonical pairs.
+def _three_center_deriv(self, aux_blocks: list[PairBlock], naux: int
+                       ) -> np.ndarray:
+    """d(ab|P)/d(center of a), shape (3, nbf, nbf, naux).
 
-    Equivalent to the ordered-pair build but ~2x faster: canonical
-    (i <= j) pairs with fused dA/dB variants; the [nu, mu] entries come
-    from the dB slabs transposed.
+    Covers *all ordered* orbital pairs, so the ket-orbital slot
+    derivative is the [x, nu, mu, P] entry, and the aux-center
+    derivative follows from translational invariance:
+    d/dP = -(d/dA + d/dB). Built from canonical (i <= j) pairs with
+    fused dA/dB variants; the [nu, mu] entries come from the dB slabs
+    transposed.
     """
     out = np.zeros((3, self.nbf, self.nbf, naux))
     for bra in self.blocks:
@@ -1363,5 +1322,70 @@ def _three_center_deriv_fast(self, aux_blocks: list[PairBlock], naux: int
     return out
 
 
+def _two_center_deriv(self, aux_blocks: list[PairBlock], naux: int
+                     ) -> np.ndarray:
+    """d(P|Q)/d(center of P), shape (3, naux, naux), all ordered (P, Q)."""
+    out = np.zeros((3, naux, naux))
+    for bra in aux_blocks:
+        na = len(components(bra.la))
+        for ket in aux_blocks:
+            nc = len(components(ket.la))
+            vals = self.coulomb_block_deriv(bra, ket)
+            if self.kernels == "batched":
+                for d in range(3):
+                    scatter_pairs_2c(out[d], bra, ket,
+                                     vals[d, :, :, 0, :, :, 0])
+                continue
+            for rb in range(bra.npair):  # qf: shell-loop — scalar reference scatter
+                oa = bra.off_a[rb]
+                for rk in range(ket.npair):  # qf: shell-loop — scalar reference scatter
+                    oc = ket.off_a[rk]
+                    out[:, oa: oa + na, oc: oc + nc] = vals[:, rb, :, 0, rk, :, 0]
+    return out
+
+
+def _eri_deriv(self) -> np.ndarray:
+    """dA-slot derivative of the exact ERI tensor.
+
+    Shape (3, nbf, nbf, nbf, nbf): entry [x, mu, nu, lm, sg] is
+    d(mu nu|lm sg)/d(center of mu), over all ordered bra pairs. Built
+    from canonical bra pairs with fused dA/dB variants (one Hermite
+    Coulomb evaluation serves both): the [x, nu, mu] entries of an
+    off-diagonal bra pair are its dB slab, bra-transposed. Ket pairs are
+    canonical and symmetrized. Small systems only (nbf^4 memory).
+    """
+    out = np.zeros((3, self.nbf, self.nbf, self.nbf, self.nbf))
+    for bra in self.blocks:
+        for ket in self.blocks:
+            nc = len(components(ket.la))
+            nd = len(components(ket.lb))
+            vals = self._coulomb_block_deriv_ab(bra, ket)
+            if self.kernels == "batched":
+                for d in range(3):
+                    scatter_eri_deriv(out[d], bra, ket, vals[d],
+                                      vals_t=vals[3 + d])
+                continue
+            for rb in range(bra.npair):  # qf: shell-loop — scalar reference scatter
+                oa, ob = bra.off_a[rb], bra.off_b[rb]
+                for rk in range(ket.npair):  # qf: shell-loop — scalar reference scatter
+                    oc, od = ket.off_a[rk], ket.off_b[rk]
+                    images = [(oa, ob, vals[0:3, rb, :, :, rk])]
+                    if oa != ob:
+                        images.append((ob, oa, vals[3:6, rb, :, :, rk]
+                                       .transpose(0, 2, 1, 3, 4)))
+                    for i0, j0, v in images:
+                        ni, nj = v.shape[1], v.shape[2]
+                        out[:, i0: i0 + ni, j0: j0 + nj,
+                            oc: oc + nc, od: od + nd] = v
+                        if oc != od:
+                            out[:, i0: i0 + ni, j0: j0 + nj,
+                                od: od + nd, oc: oc + nc] = v.transpose(
+                                0, 1, 2, 4, 3
+                            )
+    return out
+
+
 IntegralEngine._coulomb_block_deriv_ab = _coulomb_block_deriv_ab
-IntegralEngine.three_center_deriv = _three_center_deriv_fast
+IntegralEngine.three_center_deriv = _three_center_deriv
+IntegralEngine.two_center_deriv = _two_center_deriv
+IntegralEngine.eri_deriv = _eri_deriv

@@ -35,6 +35,7 @@ trajectory asked for by the ROADMAP.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -234,6 +235,71 @@ def largest_first(tasks: list[FragmentTask]) -> list[FragmentTask]:
     return sorted(tasks, key=lambda t: -t.natoms)
 
 
+#: (set, get) thread-count entry points of the OpenBLAS builds that the
+#: numpy (ILP64, ``64_`` suffix) and scipy (LP64) wheels each bundle
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_functions() -> list[tuple[str, object, object]]:
+    """``(getter name, set, get)`` of every loaded OpenBLAS.
+
+    Libraries are found in this process's memory map (Linux); anywhere
+    else, or for a BLAS without these symbols, the list is empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                # void set(int); int get(void) — in both integer widths
+                setter, getter = lib[set_name], lib[get_name]
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((get_name, setter, getter))
+    return found
+
+
+def blas_thread_counts() -> dict[str, int]:
+    """Thread count of every loaded OpenBLAS, keyed by its getter."""
+    return {name: getter() for name, _, getter in _openblas_thread_functions()}
+
+
+def cap_blas_threads(max_workers: int) -> None:
+    """Pool-worker initializer: share the visible cores among the pool.
+
+    ``max_workers`` processes each running a multithreaded BLAS on the
+    same cores oversubscribe them; every loaded OpenBLAS gets
+    ``cores // max_workers`` threads (at least one). Runs only in pool
+    workers — the parent's BLAS keeps its own setting.
+    """
+    functions = _openblas_thread_functions()
+    if not functions:
+        return
+    n = max(1, len(os.sched_getaffinity(0)) // max_workers)
+    for _, setter, _ in functions:
+        setter(n)
+
+
+def new_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers cap their BLAS threads on start."""
+    return ProcessPoolExecutor(
+        max_workers=max_workers, initializer=cap_blas_threads,
+        initargs=(max_workers,),
+    )
+
+
 def merge_telemetry(result: FragmentTaskResult) -> None:
     """Fold telemetry a pool worker shipped back into the parent.
 
@@ -380,14 +446,14 @@ class ProcessExecutor(FragmentExecutor):
     def __init__(self, max_workers: int | None = None, chunksize: int = 1):
         super().__init__(max_workers)
         self.chunksize = max(1, chunksize)
-        self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        self._pool = new_pool(self.max_workers)
 
     def close(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
 
     def restart_pool(self) -> None:
         self.close()
-        self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        self._pool = new_pool(self.max_workers)
         counters().inc("resilience.pool_restarts")
 
     def run_one(self, task):
@@ -474,14 +540,14 @@ class DisplacementExecutor(FragmentExecutor):
 
     def __init__(self, max_workers: int | None = None):
         super().__init__(max_workers)
-        self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        self._pool = new_pool(self.max_workers)
 
     def close(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
 
     def restart_pool(self) -> None:
         self.close()
-        self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        self._pool = new_pool(self.max_workers)
         counters().inc("resilience.pool_restarts")
 
     def run_one(self, task):

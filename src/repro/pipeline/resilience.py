@@ -75,6 +75,7 @@ from repro.pipeline.executor import (
     _run_task,
     largest_first,
     merge_telemetry,
+    new_pool,
 )
 from repro.utils.timing import Stopwatch
 
@@ -311,7 +312,7 @@ class ResilientExecutor(FragmentExecutor):
         self._pool: ProcessPoolExecutor | None = None
         self._base: FragmentExecutor | None = None
         if base == "process":
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = new_pool(self.max_workers)
         elif base == "serial":
             self._base = SerialExecutor()
         else:
@@ -328,7 +329,7 @@ class ResilientExecutor(FragmentExecutor):
     def restart_pool(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = new_pool(self.max_workers)
             counters().inc("resilience.pool_restarts")
         elif self._base is not None:
             self._base.restart_pool()

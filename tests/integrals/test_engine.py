@@ -12,7 +12,10 @@ from repro.integrals.engine import (
     boys_vec,
     components,
     e_coeffs_1d,
+    hermite_combos,
     hermite_coulomb_vec,
+    hermite_index,
+    hermite_sum_index,
     single_shell_blocks,
 )
 
@@ -70,20 +73,34 @@ def test_e_coeffs_zero_exponent_partner():
 
 
 def test_hermite_coulomb_matches_scalar():
+    """Every packed entry t+u+v <= L, L = 0..7, against the scalar
+    recursion."""
     rng = np.random.default_rng(3)
     p = rng.uniform(0.3, 4.0, size=5)
     pq = rng.uniform(-1.5, 1.5, size=(5, 3))
-    r = hermite_coulomb_vec(2, 2, 2, p, pq)
-    for n in range(5):
-        for t in range(3):
-            for u in range(3):
-                for v in range(3):
-                    if t + u + v > 6:
-                        continue
-                    ref = mm._r_cached(
-                        t, u, v, 0, p[n], pq[n, 0], pq[n, 1], pq[n, 2]
-                    )
-                    assert r[n, t, u, v] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+    for L in range(8):
+        r = hermite_coulomb_vec(L, p, pq)
+        combos = hermite_combos(L, L, L, L)
+        assert r.shape == (5, len(combos))
+        assert len(combos) == (L + 1) * (L + 2) * (L + 3) // 6
+        for n in range(5):
+            for k, (t, u, v) in enumerate(combos):
+                ref = mm._r_cached(
+                    t, u, v, 0, p[n], pq[n, 0], pq[n, 1], pq[n, 2]
+                )
+                assert r[n, k] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def test_hermite_index_tables_match_combos():
+    for L in range(6):
+        combos = hermite_combos(L, L, L, L)
+        assert [hermite_index(L)[c] for c in combos] == list(range(len(combos)))
+    lb, lk = 2, 3
+    table = hermite_sum_index(lb, lk)
+    packed = hermite_combos(lb + lk, lb + lk, lb + lk, lb + lk)
+    for i, cb in enumerate(hermite_combos(lb, lb, lb, lb)):
+        for j, ck in enumerate(hermite_combos(lk, lk, lk, lk)):
+            assert packed[table[i, j]] == tuple(np.add(cb, ck))
 
 
 def test_one_electron_vs_scalar(water_engine):

@@ -5,6 +5,8 @@ The parallel backends must be bit-compatible with the serial loop up to
 back as a labeled exception, not a hang.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,13 @@ from repro.geometry import water_box, water_molecule
 from repro.geometry.atoms import Geometry
 from repro.pipeline import QFRamanPipeline
 from repro.pipeline.executor import (
+    OPENBLAS_THREAD_SYMBOLS,
     DisplacementExecutor,
     FragmentExecutorError,
     FragmentTask,
     ProcessExecutor,
     SerialExecutor,
+    blas_thread_counts,
     largest_first,
     make_executor,
 )
@@ -198,3 +202,22 @@ def test_pipeline_dipeptide_backends_identical():
         assert np.allclose(a.dalpha_dr, b.dalpha_dr, atol=ATOL)
     assert np.allclose(par.spectrum.intensity, ser.spectrum.intensity,
                        atol=ATOL)
+
+
+# -- BLAS thread cap in pool workers ---------------------------------------
+
+@pytest.mark.parametrize("cls", [ProcessExecutor, DisplacementExecutor])
+def test_pool_workers_cap_blas_threads(cls):
+    """Every loaded OpenBLAS in a worker runs cores // max_workers
+    threads, also after a pool restart; the parent keeps its own."""
+    parent = blas_thread_counts()
+    if not parent:
+        pytest.skip("no OpenBLAS with scipy_openblas thread symbols loaded")
+    assert set(parent) <= {get for _set, get in OPENBLAS_THREAD_SYMBOLS}
+    expected = max(1, len(os.sched_getaffinity(0)) // 2)
+    with cls(max_workers=2) as ex:
+        for _ in range(2):
+            counts = ex._pool.submit(blas_thread_counts).result()
+            assert counts == {name: expected for name in parent}
+            ex.restart_pool()
+    assert blas_thread_counts() == parent
