@@ -57,15 +57,18 @@ test-faults:
 		tests/pipeline/test_resilience.py \
 		tests/pipeline/test_runstore_properties.py
 
-# the canonical-cache invariance harness with the sanitizer on,
+# the response-store invariance harness with the sanitizer on,
 # INCLUDING the slow split (-m "" re-selects @pytest.mark.slow, e.g.
-# the 500-example exhaustive key-invariance property) and the golden
-# rigid-vs-off equivalence gate (docs/caching.md)
+# the 500-example exhaustive key-invariance property), the store's
+# durability and integration tests, and the golden rigid-copy
+# equivalence gate (docs/caching.md)
 test-canonical:
 	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q -m "" \
 		tests/pipeline/test_canonical_properties.py \
 		tests/pipeline/test_canonical_degenerate.py \
 		tests/pipeline/test_canonical_store.py \
+		tests/pipeline/test_canonical_integration.py \
+		tests/pipeline/test_cache.py \
 		tests/pipeline/test_golden_spectra.py
 
 # scalar-vs-batched integral kernel timings by angular class + the

@@ -83,25 +83,25 @@ def payload_comparison(tasks) -> dict:
 
 
 def canonical_comparison(tasks, responses) -> dict:
-    """Canonical-cache effectiveness on the rigid-copy workload.
+    """Response-store effectiveness on the rigid-copy workload.
 
     Stores one representative response, then looks up every fragment:
-    all copies are the same water under rigid motions, so the rigid
-    store must answer each from the single entry (hit rate 1.0). The
-    per-hit wall clock is the full load + validate + rotate-back path
-    — the cost that replaces a QM fragment run."""
+    all copies are the same water under rigid motions, so the store
+    must answer each from the single entry (hit rate 1.0). The per-hit
+    wall clock is the full load + validate + rotate path — the cost
+    that replaces a QM fragment run."""
     import tempfile
 
-    from repro.pipeline.canonical import CanonicalStore
+    from repro.pipeline.cache import RunStore
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = CanonicalStore(tmp, mode="rigid")
+        store = RunStore(tmp)
         t0 = time.perf_counter()
-        store.store_task(tasks[0], responses[0])
+        store.store(tasks[0], responses[0])
         store_wall = time.perf_counter() - t0
         t0 = time.perf_counter()
         for task in tasks:
-            store.load_task(task)
+            store.load(task)
         load_wall = time.perf_counter() - t0
         stats = store.stats()
     return {
@@ -166,9 +166,9 @@ def run_comparison() -> dict:
           f"{tp['shm_wire_bytes_per_task']:.0f} B shm wire "
           f"(x{tp['payload_reduction']:.1f} smaller)")
     cc = payload["canonical_cache"]
-    print(f"  canonical cache: {cc['hits']}/{cc['hits'] + cc['misses']} "
+    print(f"  run store: {cc['hits']}/{cc['hits'] + cc['misses']} "
           f"hits (rate {cc['hit_rate']:.2f}), "
-          f"{cc['rotate_back_ms_per_hit']:.1f} ms per rotate-back hit")
+          f"{cc['rotate_back_ms_per_hit']:.1f} ms per hit")
     # canonical artifact name: lowercase bench_*, matching every other
     # benchmark output in benchmarks/output/
     save_result("bench_parallel_pipeline", payload)

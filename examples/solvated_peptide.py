@@ -37,7 +37,7 @@ def main() -> None:
 
     pipe = QFRamanPipeline(
         protein=opt.geometry, residues=residues, waters=waters,
-        relax_waters=True, cache_dir=".qf_cache", verbose=True,
+        relax_waters=True, run_store=".qf_cache", verbose=True,
     )
     omega = np.linspace(200, 5200, 1000)
     t0 = time.time()

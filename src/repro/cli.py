@@ -66,23 +66,13 @@ def _apply_resilience(args):
     return {"resilience": policy, "run_store": args.run_store}
 
 
-def _canonical_kwargs(args) -> dict:
-    """Resolve --canonical-cache/--canonical into pipeline kwargs."""
-    kwargs = {}
-    if getattr(args, "canonical_cache", None):
-        kwargs["canonical_cache"] = args.canonical_cache
-    if getattr(args, "canonical", None):
-        kwargs["canonical_mode"] = args.canonical
-    return kwargs
-
-
-def _report_canonical(result) -> None:
+def _report_store(result) -> None:
     stats = result.canonical
     if stats is None:
         return
-    print(f"canonical cache ({stats['mode']}): {stats['hits']} hits, "
-          f"{stats['misses']} misses, {stats['rotations']} rotations, "
-          f"{stats['writes']} writes "
+    print(f"run store: {stats['hits']} hits, {stats['misses']} misses, "
+          f"{stats['rotations']} rotations, {stats['writes']} writes, "
+          f"{stats['rejects']} rejects "
           f"(hit rate {100 * stats['hit_rate']:.0f}%)")
 
 
@@ -143,7 +133,7 @@ def _finish_obs(args, tracer, result, command: str, config: dict) -> None:
             extras["partial_spectrum"] = True
             extras["skipped_fragments"] = list(result.skipped_fragments)
         if result.canonical is not None:
-            extras["canonical_cache"] = dict(result.canonical)
+            extras["run_store"] = dict(result.canonical)
         manifest = collect_manifest(
             command=command, config=config,
             seeds={"seed": getattr(args, "seed", None)},
@@ -168,7 +158,7 @@ def _cmd_water_raman(args) -> int:
         waters=water_box(args.n, seed=args.seed), relax_waters=True,
         verbose=args.verbose,
         executor=args.executor, max_workers=args.workers,
-        **resilience_kwargs, **_canonical_kwargs(args),
+        **resilience_kwargs,
     )
     omega = np.linspace(200, 5200, 1000)
     result = pipe.run(omega_cm1=omega, sigma_cm1=args.sigma,
@@ -183,7 +173,7 @@ def _cmd_water_raman(args) -> int:
     if result.throughput is not None:
         print(result.throughput.summary())
     _report_resilience(result)
-    _report_canonical(result)
+    _report_store(result)
     for name, info in band_assignment(
         sp.omega_cm1, sp.intensity, WATER_BANDS,
         frequency_scale=RHF_STO3G_FREQUENCY_SCALE,
@@ -213,7 +203,7 @@ def _cmd_peptide_raman(args) -> int:
     pipe = QFRamanPipeline(protein=opt.geometry, residues=residues,
                            verbose=args.verbose,
                            executor=args.executor, max_workers=args.workers,
-                           **resilience_kwargs, **_canonical_kwargs(args))
+                           **resilience_kwargs)
     omega = np.linspace(200, 5200, 1200)
     result = pipe.run(omega_cm1=omega, sigma_cm1=args.sigma,
                       solver=args.solver)
@@ -226,7 +216,7 @@ def _cmd_peptide_raman(args) -> int:
     if result.throughput is not None:
         print(result.throughput.summary())
     _report_resilience(result)
-    _report_canonical(result)
+    _report_store(result)
     for name, info in band_assignment(
         sp.omega_cm1, sp.intensity, PROTEIN_BANDS,
         frequency_scale=RHF_STO3G_FREQUENCY_SCALE,
@@ -384,29 +374,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         p.add_argument(
             "--run-store", default=None, metavar="DIR",
-            help="checkpoint finished fragments to DIR; rerunning with "
-                 "the same DIR resumes an interrupted run bit-identically",
+            help="response store: finished fragments persist in DIR; "
+                 "rerunning with the same DIR resumes an interrupted run "
+                 "bit-identically, and rigid copies of any stored "
+                 "fragment load instead of recomputing (docs/caching.md)",
         )
         p.add_argument(
             "--inject-faults", default=None, metavar="SPEC",
             help="deterministic fault injection (= QF_FAULTS), e.g. "
                  "'crash:water[0]@1;hang:ww[0,1]@1:0.5' — see "
                  "docs/resilience.md for the grammar",
-        )
-        # rigid-motion canonical cache (docs/caching.md) — a persistent
-        # global store shared across runs and systems
-        p.add_argument(
-            "--canonical-cache", default=None, metavar="DIR",
-            help="persistent canonical fragment store: rigidly "
-                 "transformed copies of any fragment ever stored in DIR "
-                 "are rotated back instead of recomputed",
-        )
-        p.add_argument(
-            "--canonical", choices=("off", "exact", "rigid"), default=None,
-            help="canonical-cache mode (= QF_CANON; default rigid when "
-                 "--canonical-cache is given): exact hits only bit-equal "
-                 "geometries, rigid also hits rotated/translated/"
-                 "permuted copies",
         )
 
     p = sub.add_parser("water-raman", help="Raman spectrum of a water box")

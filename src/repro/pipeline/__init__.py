@@ -7,12 +7,8 @@ Lanczos/GAGQ solver. Also exposes the bridge that maps a decomposition
 onto the simulated supercomputers for timing studies.
 """
 
-from repro.pipeline.canonical import (
-    CanonicalStore,
-    canon_mode,
-    canonical_key,
-    canonicalize,
-)
+from repro.pipeline.cache import RunStore
+from repro.pipeline.canonical import canonical_key, canonicalize
 from repro.pipeline.executor import (
     FragmentExecutor,
     FragmentExecutorError,
@@ -28,15 +24,12 @@ from repro.pipeline.resilience import (
     ResiliencePolicy,
     ResilienceReport,
     ResilientExecutor,
-    RunStore,
 )
 from repro.pipeline.rigid import kabsch_rotation, rotate_response
 
 __all__ = [
     "PipelineResult",
     "QFRamanPipeline",
-    "CanonicalStore",
-    "canon_mode",
     "canonical_key",
     "canonicalize",
     "FragmentExecutor",

@@ -1,24 +1,38 @@
-"""On-disk cache for fragment responses.
+"""The response store: the one place finished fragment responses live.
 
 A production QF run is hours of independent piece calculations; loss of
 a process should not lose finished work (the paper's master re-queues
 unfinished fragments — finished ones live in its result store). This
-module is that result store for the laptop pipeline: each
-:class:`~repro.dfpt.hessian.FragmentResponse` is keyed by an exact
-geometry hash (symbols + coordinates rounded to 1e-9 bohr + the level
-of theory) and saved as one ``.npz`` file.
+module is that result store for the laptop pipeline.
 
-The hashing and (de)serialization helpers are shared with the
-fault-tolerance layer (:class:`repro.pipeline.resilience.RunStore`
-persists per-run results under :func:`task_key`, which extends
-:func:`response_key` with the full execution config so a resumed run
-only trusts results produced under identical settings).
+:class:`RunStore` keeps one ``<key>.npz`` per entry, where ``<key>`` is
+:func:`~repro.pipeline.canonical.canonical_key`: the fragment's
+rigid-motion class plus every config field that can change the numbers
+(basis, delta, raman/IR flags, ERI mode, Schwarz cutoff). An entry holds
+the response in the *writer's* lab frame together with the writer's
+symbols, coordinates, and charge. A load has three outcomes:
+
+* the target is bit-equal to the writer — the stored arrays are returned
+  untouched (the npz round trip is bitwise for float64, so a resumed run
+  reproduces the uninterrupted spectrum exactly);
+* the target is a rigid copy — after validation (same species and
+  charge, canonical coordinates within
+  :data:`~repro.pipeline.canonical.VALIDATE_RMSD_BOHR`) the response is
+  moved with one permutation and one rotation ``F_targetᵀ·F_writer``
+  (:func:`~repro.pipeline.rigid.rotate_response`);
+* anything else — torn, foreign, or mismatched — is a counted miss, and
+  the fragment is recomputed: a silently mis-rotated tensor would still
+  produce a plausible spectrum.
+
+Writes are atomic (tmp + rename), so concurrent runs may share one
+directory and a killed writer leaves only ignorable ``*.tmp.npz``
+debris. See ``docs/caching.md``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -26,60 +40,22 @@ import numpy as np
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.obs.counters import counters
+from repro.pipeline.canonical import (
+    VALIDATE_RMSD_BOHR,
+    canonical_key,
+    canonicalize,
+    permute_response,
+)
+from repro.pipeline.rigid import rotate_response
+
+__all__ = ["RunStore"]
 
 #: optional FragmentResponse array fields persisted when present
 _OPTIONAL_FIELDS = ("dalpha_dr", "alpha", "dmu_dr")
 
-
-def _geometry_digest(h, geometry: Geometry) -> None:
-    h.update(",".join(geometry.symbols).encode())
-    h.update(np.round(geometry.coords, 9).tobytes())
-    h.update(f"|{geometry.charge}".encode())
-
-
-def response_key(geometry: Geometry, basis_name: str, delta: float) -> str:
-    """Exact-content hash of (geometry, level of theory)."""
-    h = hashlib.sha256()
-    _geometry_digest(h, geometry)
-    h.update(f"|{basis_name}|{delta:.3e}".encode())
-    return h.hexdigest()[:24]
-
-
-def task_key(
-    geometry: Geometry,
-    basis_name: str,
-    delta: float,
-    *,
-    compute_raman: bool = True,
-    compute_ir: bool = False,
-    eri_mode: str = "auto",
-    schwarz_cutoff: float = 1.0e-12,
-    extra: dict | None = None,
-) -> str:
-    """Content hash of one fragment task: geometry + full run config.
-
-    Unlike :func:`response_key` (geometry + level of theory only), this
-    covers every knob that can change the numerical result, so a
-    :class:`~repro.pipeline.resilience.RunStore` hit is guaranteed
-    bit-compatible with a fresh computation. The config is serialized
-    with sorted keys, so the key is invariant to dict insertion order;
-    nothing positional (task index, attempt number, submission order)
-    enters the hash, so it is invariant to fragment ordering too.
-    """
-    h = hashlib.sha256()
-    _geometry_digest(h, geometry)
-    config = {
-        "basis": basis_name,
-        "delta": f"{delta:.3e}",
-        "raman": bool(compute_raman),
-        "ir": bool(compute_ir),
-        "eri": eri_mode,
-        "schwarz": f"{schwarz_cutoff:.3e}",
-    }
-    if extra:
-        config.update({str(k): str(v) for k, v in extra.items()})
-    h.update(json.dumps(config, sort_keys=True).encode())
-    return h.hexdigest()[:24]
+#: what a torn, truncated, or foreign ``.npz`` raises on open or read
+_UNREADABLE = (OSError, EOFError, ValueError, KeyError,
+               zipfile.BadZipFile, zlib.error)
 
 
 def response_payload(response: FragmentResponse) -> dict[str, np.ndarray]:
@@ -97,7 +73,7 @@ def response_payload(response: FragmentResponse) -> dict[str, np.ndarray]:
 
 
 def response_from_npz(data, geometry: Geometry,
-                      meta: dict | None = None) -> FragmentResponse:
+                      meta: dict) -> FragmentResponse:
     """Rebuild a :class:`FragmentResponse` from a loaded ``.npz``."""
 
     def opt(name):
@@ -111,7 +87,7 @@ def response_from_npz(data, geometry: Geometry,
         alpha=opt("alpha"),
         gradient=data["gradient"],
         dmu_dr=opt("dmu_dr"),
-        meta=dict(meta or {"cached": True}),
+        meta=dict(meta),
     )
 
 
@@ -128,61 +104,128 @@ def write_npz_atomic(path: Path, payload: dict[str, np.ndarray]) -> Path:
     return path
 
 
-class ResponseCache:
-    """Directory-backed store of fragment responses.
+class RunStore:
+    """Content-addressed on-disk store of finished fragment responses.
 
-    Keyed by exact geometry. With a canonical mode other than ``off``
-    (``canonical=`` argument, default from ``QF_CANON``) the directory
-    additionally holds a rigid-motion canonical store
-    (:class:`repro.pipeline.canonical.CanonicalStore`): an exact miss
-    falls back to the canonical entry of the same fragment class —
-    rotated copies of an already-cached geometry hit instead of
-    recomputing — and every store also writes the canonical entry.
+    ``load(task)`` / ``store(task, response)`` take a
+    :class:`~repro.pipeline.executor.FragmentTask`; see the module
+    docstring for the key, the entry format, and the three load
+    outcomes. Per-instance hit/miss/rotation/write/reject statistics
+    are mirrored into the ``store.*`` counters of :mod:`repro.obs`.
     """
 
-    def __init__(self, directory: str | Path,
-                 canonical: str | None = None):
-        from repro.pipeline.canonical import CANON_OFF, CanonicalStore, \
-            canon_mode
-
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        mode = canon_mode() if canonical is None else canonical
-        self.canonical = (
-            CanonicalStore(self.directory, mode=mode)
-            if mode != CANON_OFF else None
+        self.rotations = 0
+        self.writes = 0
+        self.rejects = 0
+
+    def key_for(self, task) -> str:
+        return canonical_key(
+            task.geometry, task.basis_name, task.delta,
+            compute_raman=task.compute_raman, compute_ir=task.compute_ir,
+            eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
         )
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"resp_{key}.npz"
+        return self.directory / f"{key}.npz"
 
-    def load(self, geometry: Geometry, basis_name: str, delta: float
-             ) -> FragmentResponse | None:
-        path = self._path(response_key(geometry, basis_name, delta))
+    def store(self, task, response: FragmentResponse) -> Path:
+        """Persist ``response`` in the writer's (``task``'s) lab frame."""
+        geometry = task.geometry
+        payload = response_payload(response)
+        payload["symbols"] = np.array(geometry.symbols, dtype="U4")
+        payload["coords"] = geometry.coords
+        payload["charge"] = np.array(geometry.charge)
+        self.writes += 1
+        counters().inc("store.writes")
+        return write_npz_atomic(self._path(self.key_for(task)), payload)
+
+    def load(self, task) -> FragmentResponse | None:
+        """The stored response in ``task``'s lab frame and atom order,
+        or None on a miss (absent, unreadable, or failed validation)."""
+        path = self._path(self.key_for(task))
         if not path.exists():
-            if self.canonical is not None:
-                stored = self.canonical.load(geometry, basis_name, delta)
-                if stored is not None:
-                    self.hits += 1
-                    counters().inc("cache.hits")
-                    return stored
-            self.misses += 1
-            counters().inc("cache.misses")
-            return None
-        data = np.load(path, allow_pickle=False)
+            return self._miss()
+        try:
+            # our own handle: np.load leaks the file it opened when the
+            # zip directory is torn
+            with open(path, "rb") as fh, \
+                    np.load(fh, allow_pickle=False) as data:
+                resp = self._resolve(data, task.geometry)
+        except _UNREADABLE:
+            # a torn or foreign file can only appear if something wrote
+            # past the atomic tmp+rename protocol; treat it as absent
+            return self._reject()
+        if resp is None:
+            return self._reject()
         self.hits += 1
-        counters().inc("cache.hits")
-        return response_from_npz(data, geometry)
+        counters().inc("store.hits")
+        return resp
 
-    def store(self, response: FragmentResponse, basis_name: str,
-              delta: float) -> Path:
-        key = response_key(response.geometry, basis_name, delta)
-        if self.canonical is not None:
-            self.canonical.store(response.geometry, response, basis_name,
-                                 delta)
-        return write_npz_atomic(self._path(key), response_payload(response))
+    def _resolve(self, data, target: Geometry) -> FragmentResponse | None:
+        symbols = [str(s) for s in data["symbols"]]
+        coords = np.asarray(data["coords"], dtype=float)
+        charge = int(data["charge"])
+        meta = {"run_store": True}
+        if symbols == list(target.symbols) and charge == target.charge \
+                and np.array_equal(coords, target.coords):
+            return response_from_npz(data, target, meta=meta)
+        writer = Geometry(symbols, coords, charge=charge)
+        fw, ft = canonicalize(writer), canonicalize(target)
+        if fw.symbols != ft.symbols or charge != target.charge:
+            return None
+        rmsd = float(np.sqrt(np.mean(
+            np.sum((fw.coords - ft.coords) ** 2, axis=1)
+        )))
+        if rmsd > VALIDATE_RMSD_BOHR:
+            # the guard against the silent-wrong-answer failure mode: a
+            # key collision or a quantization-edge geometry must become
+            # a recompute, never a mis-rotated tensor
+            return None
+        # both frames place atoms in the same canonical slots: target
+        # atom ft.perm[k] is writer atom fw.perm[k]
+        perm = np.empty_like(ft.perm)
+        perm[ft.perm] = fw.perm
+        in_order = permute_response(response_from_npz(data, writer, meta),
+                                    perm)
+        resp = rotate_response(in_order, ft.rotation.T @ fw.rotation, target)
+        self.rotations += 1
+        counters().inc("store.rotations")
+        return resp
+
+    def _miss(self) -> None:
+        self.misses += 1
+        counters().inc("store.misses")
+
+    def _reject(self) -> None:
+        self.rejects += 1
+        counters().inc("store.rejects")
+        self._miss()
+
+    def stats(self) -> dict:
+        """Per-instance hit accounting (for manifests and benchmarks)."""
+        lookups = self.hits + self.misses
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "rotations": self.rotations,
+            "writes": self.writes,
+            "rejects": self.rejects,
+            "hit_rate": self.hits / lookups if lookups else 0.0,
+        }
+
+    def _complete(self) -> list[Path]:
+        # "*.npz" also matches "<key>.tmp.npz" debris a killed writer
+        # left behind — only fully renamed files count
+        return [p for p in self.directory.glob("*.npz")
+                if not p.name.endswith(".tmp.npz")]
+
+    def keys(self) -> set[str]:
+        return {p.stem for p in self._complete()}
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("resp_*.npz"))
+        return len(self._complete())

@@ -1,10 +1,10 @@
-"""Rigid-motion canonical fragment cache.
+"""Rigid-motion canonical frames and keys for fragment responses.
 
 A 100M-atom water box is millions of *nearly identical* fragments: the
-same water geometry repeated under rotations and translations. The
-exact-coordinate stores (:class:`~repro.pipeline.cache.ResponseCache`,
-:class:`~repro.pipeline.resilience.RunStore`) treat every rigid copy
-as new work; this module collapses them onto one entry.
+same water geometry repeated under rotations and translations. This
+module gives every rigid copy the same content key, so the response
+store (:class:`~repro.pipeline.cache.RunStore`) collapses them onto one
+entry.
 
 Canonicalization
 ----------------
@@ -43,29 +43,11 @@ axis — exact for a physically linear system (whose true response is
 axially symmetric), with any residual bounded by the finite-difference
 noise that already separates two independent computations.
 
-Store
------
-:class:`CanonicalStore` is a persistent, content-addressed, *global*
-response store: entries are written once per canonical class and hit by
-every rigid copy in every later run (atomic tmp+rename writes, safe for
-concurrent writers; stray ``*.tmp.npz`` debris is ignored). Three modes
-(``QF_CANON``):
-
-``off``
-    disabled — every lookup misses;
-``exact``
-    keyed by exact coordinates (a safe fallback: hits only bit-exact
-    repeats, never rotates anything);
-``rigid``
-    keyed canonically; responses are stored in the canonical frame and
-    rotated back into the lab frame on hit via the same tensor
-    transformation as :func:`~repro.pipeline.rigid.rotate_response`.
-
-A ``rigid`` hit is *validated* before it is trusted: the stored
-canonical coordinates must match the target's to
-:data:`VALIDATE_RMSD_BOHR`, else the entry is rejected and counted
-(``cache.canonical_rejects``) — a silently mis-rotated tensor would
-still produce a plausible spectrum, so the invariance test harness
+A rigid-copy hit is *validated* before it is trusted: the writer's and
+the target's canonical coordinates must agree to
+:data:`VALIDATE_RMSD_BOHR`, else the store rejects the entry — a
+silently mis-rotated tensor would still produce a plausible spectrum,
+so the invariance test harness
 (``tests/pipeline/test_canonical_properties.py``) and this runtime
 check are both load-bearing. See ``docs/caching.md``.
 """
@@ -74,41 +56,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import zipfile
-from pathlib import Path
 
 import numpy as np
 
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
-from repro.obs.counters import counters
-from repro.pipeline.cache import (
-    response_from_npz,
-    response_payload,
-    write_npz_atomic,
-)
-from repro.pipeline.rigid import rotate_response
 
 __all__ = [
     "CANON_DECIMALS",
-    "CANON_EXACT",
-    "CANON_MODES",
-    "CANON_OFF",
-    "CANON_RIGID",
     "CanonicalFrame",
-    "CanonicalStore",
     "VALIDATE_RMSD_BOHR",
-    "canon_mode",
     "canonical_key",
     "canonicalize",
     "permute_response",
 ]
-
-CANON_OFF = "off"
-CANON_EXACT = "exact"
-CANON_RIGID = "rigid"
-CANON_MODES = (CANON_OFF, CANON_EXACT, CANON_RIGID)
 
 #: quantization grid of the canonical coordinates: two geometries whose
 #: canonical coordinates agree to this many decimals (bohr) share a key
@@ -118,29 +79,19 @@ CANON_DECIMALS = 6
 #: cannot anchor a frame axis (its direction would be numerical noise)
 _AXIS_TOL = 1.0e-6
 
-#: a rigid hit is trusted only if the stored canonical coordinates
+#: a rigid hit is trusted only if the writer's canonical coordinates
 #: match the target's within this RMSD (bohr); ties between
 #: symmetry-equivalent frames differ by at most the quantization grid
 VALIDATE_RMSD_BOHR = 1.0e-4
 
 
-def canon_mode(default: str = CANON_OFF) -> str:
-    """The canonical-cache mode from ``QF_CANON`` (validated)."""
-    mode = os.environ.get("QF_CANON", "").strip().lower() or default
-    if mode not in CANON_MODES:
-        raise ValueError(
-            f"QF_CANON must be one of {CANON_MODES}, got {mode!r}"
-        )
-    return mode
-
-
 # -- canonical frame construction ------------------------------------------
 
 
-def _quantize(coords: np.ndarray, decimals: int) -> np.ndarray:
+def _quantize(coords: np.ndarray) -> np.ndarray:
     # `+ 0.0` collapses IEEE -0.0 onto +0.0 so the byte encoding (and
     # tuple formatting) of a zero is unique
-    return np.round(np.asarray(coords, dtype=float), decimals) + 0.0
+    return np.round(np.asarray(coords, dtype=float), CANON_DECIMALS) + 0.0
 
 
 def _axis_completion(e1: np.ndarray) -> np.ndarray:
@@ -204,28 +155,19 @@ class CanonicalFrame:
     occupying canonical slot ``k``.
     """
 
-    __slots__ = ("key", "symbols", "coords", "rotation", "translation",
-                 "perm", "linear")
+    __slots__ = ("key", "symbols", "coords", "rotation", "perm", "linear")
 
     def __init__(self, key: str, symbols: tuple, coords: np.ndarray,
-                 rotation: np.ndarray, translation: np.ndarray,
-                 perm: np.ndarray, linear: bool):
+                 rotation: np.ndarray, perm: np.ndarray, linear: bool):
         self.key = key
         self.symbols = symbols
         self.coords = coords
         self.rotation = rotation
-        self.translation = translation
         self.perm = perm
         self.linear = linear
 
-    def inverse_perm(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm))
-        return inv
 
-
-def canonicalize(geometry: Geometry,
-                 decimals: int = CANON_DECIMALS) -> CanonicalFrame:
+def canonicalize(geometry: Geometry) -> CanonicalFrame:
     """Rigid-motion-invariant canonical frame of ``geometry``."""
     coords = np.asarray(geometry.coords, dtype=float)
     masses = geometry.masses
@@ -243,7 +185,7 @@ def canonicalize(geometry: Geometry,
             # zero them so the arbitrary axis completion cannot leak
             # into the encoding or the stored coordinates
             canon[:, 1:] = 0.0
-        q = _quantize(canon, decimals)
+        q = _quantize(canon)
         order = sorted(
             range(n),
             key=lambda i: (symbols[i], q[i, 0], q[i, 1], q[i, 2], i),
@@ -256,32 +198,17 @@ def canonicalize(geometry: Geometry,
     encoding, perm, canon, frame = best
 
     h = hashlib.sha256()
-    h.update(f"canon-v1|{decimals}|{geometry.charge}|".encode())
+    h.update(f"canon-v1|{CANON_DECIMALS}|{geometry.charge}|".encode())
     h.update(",".join(symbols[i] for i in perm).encode())
-    h.update(_quantize(canon[perm], decimals).tobytes())
+    h.update(_quantize(canon[perm]).tobytes())
     return CanonicalFrame(
         key=h.hexdigest()[:24],
         symbols=tuple(symbols[i] for i in perm),
         coords=canon[perm],
         rotation=frame,
-        translation=com,
         perm=perm,
         linear=linear,
     )
-
-
-def _config_extra(
-    basis_name: str, delta: float, compute_raman: bool, compute_ir: bool,
-    eri_mode: str, schwarz_cutoff: float,
-) -> dict:
-    return {
-        "basis": basis_name,
-        "delta": f"{delta:.3e}",
-        "raman": bool(compute_raman),
-        "ir": bool(compute_ir),
-        "eri": eri_mode,
-        "schwarz": f"{schwarz_cutoff:.3e}",
-    }
 
 
 def canonical_key(
@@ -293,20 +220,24 @@ def canonical_key(
     compute_ir: bool = False,
     eri_mode: str = "auto",
     schwarz_cutoff: float = 1.0e-12,
-    decimals: int = CANON_DECIMALS,
 ) -> str:
     """Content hash of (canonical geometry class, full run config).
 
-    The rigid-motion analogue of :func:`repro.pipeline.cache.task_key`:
-    two fragments share a key iff they are the same geometry up to a
+    Two fragments share a key iff they are the same geometry up to a
     proper rigid motion (within the quantization grid) *and* every
-    config knob that can change the numbers matches.
+    config knob that can change the numbers matches. Nothing
+    positional (task index, attempt, label) enters the hash.
     """
-    frame = canonicalize(geometry, decimals=decimals)
     h = hashlib.sha256()
-    h.update(frame.key.encode())
-    config = _config_extra(basis_name, delta, compute_raman, compute_ir,
-                           eri_mode, schwarz_cutoff)
+    h.update(canonicalize(geometry).key.encode())
+    config = {
+        "basis": basis_name,
+        "delta": f"{delta:.3e}",
+        "raman": bool(compute_raman),
+        "ir": bool(compute_ir),
+        "eri": eri_mode,
+        "schwarz": f"{schwarz_cutoff:.3e}",
+    }
     h.update(json.dumps(config, sort_keys=True).encode())
     return h.hexdigest()[:24]
 
@@ -350,223 +281,3 @@ def permute_response(response: FragmentResponse, perm,
         dmu_dr=take(response.dmu_dr),
         meta=dict(response.meta),
     )
-
-
-# -- the persistent global store -------------------------------------------
-
-
-class CanonicalStore:
-    """Persistent content-addressed global store of fragment responses.
-
-    One ``canon_<key>.npz`` per canonical class (``rigid``) or exact
-    geometry (``exact``); see the module docstring for the mode
-    semantics. Writes are atomic and idempotent — concurrent runs may
-    share one directory — and per-instance hit/miss/rotation statistics
-    are mirrored into the ``cache.canonical_*`` counters of
-    :mod:`repro.obs`.
-    """
-
-    def __init__(self, directory: str | Path, mode: str | None = None,
-                 decimals: int = CANON_DECIMALS):
-        if mode is None:
-            mode = canon_mode()
-        if mode not in CANON_MODES:
-            raise ValueError(
-                f"canonical mode must be one of {CANON_MODES}, got {mode!r}"
-            )
-        self.directory = Path(directory)
-        self.mode = mode
-        self.decimals = decimals
-        if mode != CANON_OFF:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.rotations = 0
-        self.writes = 0
-        self.rejects = 0
-
-    # -- keys --------------------------------------------------------------
-
-    def key(self, geometry: Geometry, basis_name: str, delta: float,
-            **config) -> str:
-        if self.mode == CANON_RIGID:
-            return canonical_key(geometry, basis_name, delta,
-                                 decimals=self.decimals, **config)
-        # exact mode: reuse the exact-coordinate task hash, namespaced
-        # so the entry can never shadow a rigid one
-        from repro.pipeline.cache import task_key
-
-        return task_key(geometry, basis_name, delta,
-                        extra={"canon": CANON_EXACT}, **config)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"canon_{key}.npz"
-
-    # -- store -------------------------------------------------------------
-
-    def store(
-        self,
-        geometry: Geometry,
-        response: FragmentResponse,
-        basis_name: str,
-        delta: float,
-        *,
-        compute_raman: bool = True,
-        compute_ir: bool = False,
-        eri_mode: str = "auto",
-        schwarz_cutoff: float = 1.0e-12,
-    ) -> Path | None:
-        """Persist ``response`` under its canonical (or exact) key."""
-        if self.mode == CANON_OFF:
-            return None
-        key = self.key(geometry, basis_name, delta,
-                       compute_raman=compute_raman, compute_ir=compute_ir,
-                       eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff)
-        if self.mode == CANON_EXACT:
-            payload = response_payload(response)
-        else:
-            frame = canonicalize(geometry, decimals=self.decimals)
-            canon_geom = Geometry(list(frame.symbols), frame.coords,
-                                  charge=geometry.charge)
-            in_order = permute_response(response, frame.perm,
-                                        geometry=canon_geom)
-            in_frame = rotate_response(in_order, frame.rotation, canon_geom)
-            payload = response_payload(in_frame)
-            payload["canon_coords"] = frame.coords
-            payload["canon_symbols"] = np.array(frame.symbols, dtype="U4")
-        payload["canon_charge"] = np.array(geometry.charge)
-        self.writes += 1
-        counters().inc("cache.canonical_writes")
-        return write_npz_atomic(self._path(key), payload)
-
-    # -- load --------------------------------------------------------------
-
-    def load(
-        self,
-        geometry: Geometry,
-        basis_name: str,
-        delta: float,
-        *,
-        compute_raman: bool = True,
-        compute_ir: bool = False,
-        eri_mode: str = "auto",
-        schwarz_cutoff: float = 1.0e-12,
-    ) -> FragmentResponse | None:
-        """The stored response for ``geometry``, in its lab frame and
-        atom order — or None on a miss (including a failed validation
-        of a ``rigid`` entry)."""
-        if self.mode == CANON_OFF:
-            return None
-        key = self.key(geometry, basis_name, delta,
-                       compute_raman=compute_raman, compute_ir=compute_ir,
-                       eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff)
-        path = self._path(key)
-        if not path.exists():
-            return self._miss()
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if self.mode == CANON_EXACT:
-                    resp = response_from_npz(
-                        data, geometry,
-                        meta={"canonical": True,
-                              "canonical_mode": self.mode},
-                    )
-                else:
-                    return self._load_rigid(data, geometry, key)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            # a torn or foreign file can only appear if something wrote
-            # past the atomic tmp+rename protocol; treat it as absent
-            return self._reject("unreadable entry")
-        self.hits += 1
-        counters().inc("cache.canonical_hits")
-        return resp
-
-    def _load_rigid(self, data, geometry: Geometry,
-                    key: str) -> FragmentResponse | None:
-        frame = canonicalize(geometry, decimals=self.decimals)
-        stored_symbols = tuple(str(s) for s in data["canon_symbols"])
-        stored_coords = np.asarray(data["canon_coords"], dtype=float)
-        if stored_symbols != frame.symbols \
-                or int(data["canon_charge"]) != geometry.charge:
-            return self._reject("species/charge mismatch")
-        if stored_coords.shape != frame.coords.shape:
-            return self._reject("shape mismatch")
-        rmsd = float(np.sqrt(np.mean(
-            np.sum((stored_coords - frame.coords) ** 2, axis=1)
-        )))
-        if rmsd > VALIDATE_RMSD_BOHR:
-            # the guard against the silent-wrong-answer failure mode: a
-            # key collision or a quantization-edge geometry must become
-            # a recompute, never a mis-rotated tensor
-            return self._reject(f"canonical frame mismatch rmsd={rmsd:.2e}")
-        canon_geom = Geometry(list(stored_symbols), stored_coords,
-                              charge=geometry.charge)
-        in_frame = response_from_npz(
-            data, canon_geom,
-            meta={"canonical": True, "canonical_mode": self.mode,
-                  "canonical_key": key},
-        )
-        perm_geom = Geometry(
-            [geometry.symbols[i] for i in frame.perm],
-            geometry.coords[frame.perm], charge=geometry.charge,
-        )
-        in_lab = rotate_response(in_frame, frame.rotation.T, perm_geom)
-        resp = permute_response(in_lab, frame.inverse_perm(),
-                                geometry=geometry)
-        self.hits += 1
-        self.rotations += 1
-        counters().inc("cache.canonical_hits")
-        counters().inc("cache.canonical_rotations")
-        return resp
-
-    def _miss(self):
-        self.misses += 1
-        counters().inc("cache.canonical_misses")
-        return None
-
-    def _reject(self, why: str):
-        self.rejects += 1
-        counters().inc("cache.canonical_rejects")
-        return self._miss()
-
-    # -- task adapters (RunStore / executor integration) -------------------
-
-    def load_task(self, task) -> FragmentResponse | None:
-        return self.load(
-            task.geometry, task.basis_name, task.delta,
-            compute_raman=task.compute_raman, compute_ir=task.compute_ir,
-            eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
-        )
-
-    def store_task(self, task, response: FragmentResponse) -> Path | None:
-        return self.store(
-            task.geometry, response, task.basis_name, task.delta,
-            compute_raman=task.compute_raman, compute_ir=task.compute_ir,
-            eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
-        )
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Per-instance hit accounting (for manifests and benchmarks)."""
-        lookups = self.hits + self.misses
-        return {
-            "mode": self.mode,
-            "hits": self.hits,
-            "misses": self.misses,
-            "rotations": self.rotations,
-            "writes": self.writes,
-            "rejects": self.rejects,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-        }
-
-    def _complete(self) -> list[Path]:
-        # exclude "canon_<key>.tmp.npz" debris from a killed writer
-        return [p for p in self.directory.glob("canon_*.npz")
-                if not p.name.endswith(".tmp.npz")]
-
-    def keys(self) -> set[str]:
-        return {p.stem[len("canon_"):] for p in self._complete()}
-
-    def __len__(self) -> int:
-        return len(self._complete())

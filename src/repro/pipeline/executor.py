@@ -622,7 +622,6 @@ def make_executor(
     chunksize: int = 1,
     resilience=None,
     run_store=None,
-    canonical: str | None = None,
 ) -> FragmentExecutor:
     """Instantiate an executor backend by name.
 
@@ -633,10 +632,8 @@ def make_executor(
     the defaults) and/or a ``run_store`` directory wraps the backend in
     the fault-tolerant :class:`~repro.pipeline.resilience.ResilientExecutor`
     (retries, timeouts, checkpoint/resume; see docs/resilience.md).
-    ``canonical`` selects the run store's rigid-motion cache mode
-    (``off``/``exact``/``rigid``; default resolves ``QF_CANON`` — see
-    docs/caching.md) and is ignored when ``run_store`` is already a
-    :class:`~repro.pipeline.resilience.RunStore` instance.
+    ``run_store`` is a directory or a
+    :class:`~repro.pipeline.cache.RunStore` (docs/caching.md).
     """
     if backend not in _BACKENDS:
         raise ValueError(
@@ -653,7 +650,7 @@ def make_executor(
             )
         return ResilientExecutor(
             base=backend, max_workers=max_workers, policy=policy,
-            store=run_store, canonical=canonical,
+            store=run_store,
         )
     cls = _BACKENDS[backend]
     if cls is ProcessExecutor:

@@ -36,12 +36,14 @@ from repro.geometry.atoms import Geometry
 from repro.geometry.protein import BuiltResidue
 from repro.obs.counters import counters
 from repro.obs.tracer import get_tracer
+from repro.pipeline.cache import RunStore
 from repro.pipeline.executor import (
     FragmentExecutor,
     FragmentTask,
     ThroughputReport,
     make_executor,
 )
+from repro.pipeline.resilience import ResilientExecutor
 from repro.pipeline.rigid import (
     geometry_signature,
     kabsch_rotation,
@@ -72,8 +74,8 @@ class PipelineResult:
     #: exhausted a fragment's retries (their ``responses`` entries are
     #: None and the spectrum is a flagged partial result)
     skipped_fragments: list[str] = field(default_factory=list)
-    #: rigid-motion canonical-cache accounting (hits/misses/rotations/
-    #: hit_rate) when the run used one — flows into the RunManifest
+    #: response-store accounting (hits/misses/rotations/writes/rejects/
+    #: hit_rate) when the run used a RunStore — flows into the RunManifest
     canonical: dict | None = None
 
     @property
@@ -101,15 +103,12 @@ class QFRamanPipeline:
         compute_raman: bool = True,
         delta: float = 5.0e-3,
         relax_waters: bool = False,
-        cache_dir: str | None = None,
         verbose: bool = False,
         executor: str | FragmentExecutor = "serial",
         max_workers: int | None = None,
         schwarz_cutoff: float = 1.0e-12,
         resilience=None,
         run_store=None,
-        canonical_cache: str | None = None,
-        canonical_mode: str | None = None,
     ):
         if protein is None and not waters:
             raise ValueError("pipeline needs a protein, waters, or both")
@@ -140,44 +139,33 @@ class QFRamanPipeline:
         self.executor = executor
         self.max_workers = max_workers
         self.schwarz_cutoff = schwarz_cutoff
-        #: a ResiliencePolicy (or True for defaults) and/or a RunStore
-        #: directory switch the run into fault-tolerant execution —
-        #: retries, timeouts, checkpoint/resume (docs/resilience.md);
-        #: ignored when ``executor`` is a ready instance
+        #: a ResiliencePolicy (or True for defaults) and/or a response
+        #: store switch the run into fault-tolerant execution — retries,
+        #: timeouts, checkpoint/resume (docs/resilience.md); resilience
+        #: is ignored when ``executor`` is a ready instance
         self.resilience = resilience
+        #: the response store (a directory or a RunStore; docs/caching.md):
+        #: finished fragments persist there, and any later run over the
+        #: same fragments — or rigid copies of them — loads instead of
+        #: recomputing. A ready executor instance brings its own store.
+        if not isinstance(executor, str):
+            if isinstance(executor, ResilientExecutor) \
+                    and executor.store is not None:
+                run_store = executor.store
+            elif run_store is not None:
+                raise ValueError(
+                    f"run_store= conflicts with the ready executor "
+                    f"instance {executor.name!r}, which has no store: pass "
+                    "a backend name, or a ResilientExecutor built with "
+                    "store="
+                )
+        if run_store is not None and not isinstance(run_store, RunStore):
+            run_store = RunStore(run_store)
         self.run_store = run_store
         self.resilience_report: dict | None = None
         self.skipped_fragments: list[str] = []
         self.throughput: ThroughputReport | None = None
         self.timer = Timer()
-        #: rigid-motion canonical cache (docs/caching.md): a persistent
-        #: global store shared across runs — rotated copies of an
-        #: already-stored fragment hit instead of recomputing. The mode
-        #: (off|exact|rigid) comes from ``canonical_mode``, else
-        #: ``QF_CANON``, else ``rigid`` when a store directory is given.
-        from repro.pipeline.canonical import (
-            CANON_OFF,
-            CANON_RIGID,
-            CanonicalStore,
-            canon_mode,
-        )
-
-        self._canonical_param = canonical_mode
-        if canonical_mode is None:
-            canonical_mode = canon_mode(
-                default=CANON_RIGID if canonical_cache else CANON_OFF
-            )
-        self.canonical_mode = canonical_mode
-        self.canonical = None
-        if canonical_cache is not None and canonical_mode != CANON_OFF:
-            self.canonical = CanonicalStore(canonical_cache,
-                                            mode=canonical_mode)
-        self.cache = None
-        if cache_dir is not None:
-            from repro.pipeline.cache import ResponseCache
-
-            self.cache = ResponseCache(cache_dir,
-                                       canonical=self._canonical_param)
 
     # -- steps -----------------------------------------------------------------
 
@@ -198,20 +186,22 @@ class QFRamanPipeline:
                           ) -> tuple[list[FragmentResponse], int]:
         """One :class:`FragmentResponse` per piece (rigid copies reused).
 
-        Three phases: *plan* (resolve rigid duplicates and disk-cache
-        hits, leaving a list of pieces that genuinely need a QM run),
-        *execute* (hand those to the configured executor backend —
-        serial, process pool, or per-displacement pool), *assemble*
+        Three phases: *plan* (resolve in-run rigid duplicates, leaving
+        one representative per class), *execute* (hand those to the
+        configured executor backend — serial, process pool, or
+        per-displacement pool; with a response store the executor loads
+        stored representatives instead of running them), *assemble*
         (fill the per-piece response list in decomposition order,
-        rotating duplicates off their computed representative). The
-        plan mirrors the original serial control flow exactly, so every
-        backend produces identical responses.
+        rotating duplicates off their representative). The plan mirrors
+        the original serial control flow exactly, so every backend
+        produces identical responses. Returns the responses and the
+        number of pieces actually computed.
         """
         # -- plan: what does each piece resolve to? --------------------------
-        # rep[sig] = index of the latest piece computed/loaded for sig
+        # rep[sig] = index of the latest representative piece for sig
         rep: dict[tuple, int] = {}
         plan: list[tuple] = []          # ("rotate", ref_idx, rot) |
-        #                                 ("cached", resp) | ("compute",)
+        #                                 ("compute",)
         tasks: list[FragmentTask] = []
         pieces = decomposition.pieces
         for k, piece in enumerate(pieces):
@@ -223,30 +213,6 @@ class QFRamanPipeline:
                 )
                 if rmsd < 1.0e-6:
                     plan.append(("rotate", rep[sig], rot))
-                    continue
-            if self.cache is not None:
-                stored = self.cache.load(piece.geometry, self.basis_name,
-                                         self.delta)
-                if stored is not None and (
-                    not self.compute_raman or stored.dalpha_dr is not None
-                ):
-                    plan.append(("cached", stored))
-                    if sig is not None:
-                        rep[sig] = k
-                    continue
-            if self.canonical is not None:
-                stored = self.canonical.load(
-                    piece.geometry, self.basis_name, self.delta,
-                    compute_raman=self.compute_raman,
-                    eri_mode=self.eri_mode,
-                    schwarz_cutoff=self.schwarz_cutoff,
-                )
-                if stored is not None and (
-                    not self.compute_raman or stored.dalpha_dr is not None
-                ):
-                    plan.append(("cached", stored))
-                    if sig is not None:
-                        rep[sig] = k
                     continue
             plan.append(("compute",))
             tasks.append(
@@ -266,17 +232,17 @@ class QFRamanPipeline:
 
         # -- execute the remaining unique pieces -----------------------------
         computed: dict[int, FragmentResponse] = {}
+        unique = len(tasks)
         if tasks:
             owns_executor = isinstance(self.executor, str)
             executor = (
                 make_executor(self.executor, max_workers=self.max_workers,
                               resilience=self.resilience,
-                              run_store=self.run_store,
-                              canonical=self._canonical_param)
+                              run_store=self.run_store)
                 if owns_executor else self.executor
             )
             self._log(
-                f"computing {len(tasks)} unique pieces with "
+                f"dispatching {len(tasks)} unique pieces to "
                 f"backend={executor.name} workers={executor.max_workers}"
             )
             try:
@@ -293,6 +259,8 @@ class QFRamanPipeline:
             self.resilience_report = self.throughput.resilience
             if self.resilience_report is not None:
                 counters().inc("pipeline.resilient_runs")
+                # store hits were loaded, not computed
+                unique -= self.resilience_report["store_hits"]
             # fold the per-fragment sub-phase timers (scf_base,
             # scf_displaced, cphf_displaced, ...) into the pipeline
             # timer so phase_wall_s covers worker time, not just the
@@ -302,18 +270,6 @@ class QFRamanPipeline:
                 sub = resp.meta.get("timer") if resp is not None else None
                 if sub is not None:
                     self.timer.merge(sub)
-            if self.cache is not None:
-                for task in tasks:
-                    resp = computed.get(task.index)
-                    if resp is not None:
-                        self.cache.store(resp, self.basis_name, self.delta)
-            if self.canonical is not None:
-                # populate the global store: one canonical entry per
-                # fragment class, hit by every rigid copy in later runs
-                for task in tasks:
-                    resp = computed.get(task.index)
-                    if resp is not None:
-                        self.canonical.store_task(task, resp)
 
         # -- assemble in decomposition order ----------------------------------
         # a fault-tolerant run under skip_and_report may come back with
@@ -330,9 +286,7 @@ class QFRamanPipeline:
                     self.skipped_fragments.append(label)
                     counters().inc("pipeline.skipped_fragments")
                 responses.append(resp)
-            elif kind == "cached":
-                responses.append(entry[1])
-            else:  # rotate off the representative (computed or cached)
+            else:  # rotate off the representative (computed or stored)
                 _kind, ref_idx, rot = entry
                 if responses[ref_idx] is None:
                     self.skipped_fragments.append(label)
@@ -352,7 +306,7 @@ class QFRamanPipeline:
                 f"{len(self.skipped_fragments)} piece(s) missing: "
                 f"{', '.join(self.skipped_fragments)}"
             )
-        return responses, len(tasks)
+        return responses, unique
 
     def masses(self) -> np.ndarray:
         parts = []
@@ -450,8 +404,8 @@ class QFRamanPipeline:
             timer=self.timer,
             throughput=self.throughput,
             skipped_fragments=list(self.skipped_fragments),
-            canonical=(self.canonical.stats()
-                       if self.canonical is not None else None),
+            canonical=(self.run_store.stats()
+                       if self.run_store is not None else None),
         )
 
     def workload_sizes(self, decomposition: QFDecomposition | None = None

@@ -7,13 +7,12 @@ recomputed (§V-A). QF fragment methods make this cheap: every piece is
 an independent, restartable unit. This module brings those semantics
 to the *real* executors of :mod:`repro.pipeline.executor`:
 
-:class:`RunStore`
-    An on-disk checkpoint of finished fragment responses, keyed by a
-    content hash of (geometry, full execution config) via
-    :func:`repro.pipeline.cache.task_key`. Writes are atomic
-    (tmp + rename), so an interrupted run — SIGKILL'd driver, dead
-    worker, power loss — resumes with only the unfinished fragments,
-    and the resumed spectrum is bit-identical to an uninterrupted run.
+:class:`~repro.pipeline.cache.RunStore`
+    The response store (one content-addressed ``.npz`` per fragment
+    class and config). Writes are atomic (tmp + rename), so an
+    interrupted run — SIGKILL'd driver, dead worker, power loss —
+    resumes with only the unfinished fragments, and the resumed
+    spectrum is bit-identical to an uninterrupted run.
 
 :class:`ResiliencePolicy`
     Per-fragment retry with exponential backoff and deterministic
@@ -54,17 +53,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from repro.devtools.contracts import ContractViolation, check_response
 from repro.dfpt.hessian import FragmentResponse
 from repro.obs.counters import counters
-from repro.pipeline.cache import (
-    response_from_npz,
-    response_payload,
-    task_key,
-    write_npz_atomic,
-)
+from repro.pipeline.cache import RunStore
 from repro.pipeline.executor import (
     DisplacementExecutor,
     FragmentExecutor,
@@ -85,7 +77,6 @@ __all__ = [
     "ResiliencePolicy",
     "ResilienceReport",
     "ResilientExecutor",
-    "RunStore",
 ]
 
 FAIL_FAST = "fail_fast"
@@ -152,82 +143,6 @@ class ResiliencePolicy:
         return asdict(self)
 
 
-class RunStore:
-    """Atomic on-disk checkpoint of finished fragment responses.
-
-    One ``frag_<key>.npz`` per fragment, where ``<key>`` is the
-    content hash of the task (geometry + full execution config) from
-    :func:`repro.pipeline.cache.task_key`. The npz round-trip is
-    bitwise for float64 payloads, so a resumed run reproduces the
-    uninterrupted spectrum exactly. Stray ``*.tmp.npz`` files from a
-    crash mid-write are ignored by :meth:`load`.
-
-    With a canonical mode other than ``off`` (``canonical=`` argument,
-    default from ``QF_CANON``) the store doubles as a rigid-motion
-    global cache: every checkpoint is also written under its canonical
-    key (``canon_<key>.npz``, :class:`repro.pipeline.canonical.CanonicalStore`),
-    and a task missing its exact checkpoint falls back to the canonical
-    entry — so a *different* run over rotated copies of the same
-    fragments resumes from this store too. Exact checkpoints are always
-    consulted first, which keeps same-run resume bit-identical; a
-    canonical fallback hit is exact physics but rotated floating point
-    (tolerance-identical spectra; see ``docs/caching.md``).
-    """
-
-    def __init__(self, directory: str | Path,
-                 canonical: str | None = None):
-        from repro.pipeline.canonical import CANON_OFF, CanonicalStore, \
-            canon_mode
-
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        mode = canon_mode() if canonical is None else canonical
-        self.canonical = (
-            CanonicalStore(self.directory, mode=mode)
-            if mode != CANON_OFF else None
-        )
-
-    def key_for(self, task: FragmentTask) -> str:
-        return task_key(
-            task.geometry, task.basis_name, task.delta,
-            compute_raman=task.compute_raman, compute_ir=task.compute_ir,
-            eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
-        )
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"frag_{key}.npz"
-
-    def load(self, task: FragmentTask) -> FragmentResponse | None:
-        path = self._path(self.key_for(task))
-        if not path.exists():
-            if self.canonical is not None:
-                return self.canonical.load_task(task)
-            return None
-        data = np.load(path, allow_pickle=False)
-        counters().inc("resilience.store_hits")
-        return response_from_npz(data, task.geometry,
-                                 meta={"run_store": True})
-
-    def store(self, task: FragmentTask, response: FragmentResponse) -> Path:
-        counters().inc("resilience.store_writes")
-        if self.canonical is not None:
-            self.canonical.store_task(task, response)
-        return write_npz_atomic(self._path(self.key_for(task)),
-                                response_payload(response))
-
-    def _complete(self) -> list[Path]:
-        # "frag_*.npz" would also match "frag_<key>.tmp.npz" debris a
-        # killed writer left behind — only fully renamed files count
-        return [p for p in self.directory.glob("frag_*.npz")
-                if not p.name.endswith(".tmp.npz")]
-
-    def keys(self) -> set[str]:
-        return {p.stem[len("frag_"):] for p in self._complete()}
-
-    def __len__(self) -> int:
-        return len(self._complete())
-
-
 @dataclass
 class ResilienceReport:
     """What the fault-tolerance layer did during one ``run``.
@@ -292,7 +207,6 @@ class ResilientExecutor(FragmentExecutor):
         max_workers: int | None = None,
         policy: ResiliencePolicy | None = None,
         store: RunStore | str | Path | None = None,
-        canonical: str | None = None,
     ):
         if base not in ("serial", "process", "displacement"):
             raise ValueError(
@@ -304,9 +218,7 @@ class ResilientExecutor(FragmentExecutor):
         self.name = f"resilient+{base}"
         self.policy = policy if policy is not None else ResiliencePolicy()
         if store is not None and not isinstance(store, RunStore):
-            # canonical (QF_CANON by default) additionally keys the
-            # store by rigid-motion class — see RunStore
-            store = RunStore(store, canonical=canonical)
+            store = RunStore(store)
         self.store = store
         self.last_report: ResilienceReport | None = None
         self._pool: ProcessPoolExecutor | None = None

@@ -19,10 +19,11 @@ import numpy as np
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.geometry.water import random_rotation, water_molecule
+from repro.pipeline.cache import RunStore
 from repro.pipeline.canonical import (
-    CanonicalStore,
     canonicalize,
 )
+from repro.pipeline.executor import FragmentTask
 
 N_TRIALS = 40
 
@@ -204,8 +205,8 @@ def test_linear_round_trip_with_physical_symmetry(tmp_path):
                              [2.2, 0.0, 0.0],
                              [-2.2, 0.0, 0.0]]))
     resp = _axially_symmetric_response(co2, np.array([1.0, 0.0, 0.0]))
-    store = CanonicalStore(tmp_path, mode="rigid")
-    store.store(co2, resp, "sto-3g", 5.0e-3)
+    store = RunStore(tmp_path)
+    store.store(FragmentTask(0, "co2", co2), resp)
 
     rng = np.random.default_rng(23)
     rot = random_rotation(rng)
@@ -213,7 +214,7 @@ def test_linear_round_trip_with_physical_symmetry(tmp_path):
     perm = np.array([1, 0, 2])
     coords = (co2.coords @ rot.T + shift)[perm]
     copy = Geometry([co2.symbols[i] for i in perm], coords)
-    got = store.load(copy, "sto-3g", 5.0e-3)
+    got = store.load(FragmentTask(1, "copy", copy))
     assert got is not None
 
     from repro.pipeline.canonical import permute_response

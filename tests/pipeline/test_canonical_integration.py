@@ -1,11 +1,11 @@
-"""Integration of the canonical store with the existing cache layers.
+"""Integration of the response store with its callers.
 
-The canonical store rides along three seams — `ResponseCache`,
-`RunStore`, and the pipeline's own global store — and each seam has an
-ordering contract worth pinning: exact entries always win over
-canonical ones (`RunStore` resume stays bit-identical), and the mode
-resolves from the explicit parameter first, then `QF_CANON`, then the
-presence of a store directory.
+The store has one lookup site and one write site (the resilient
+executor), one pipeline option (``run_store=``), and one CLI flag
+(``--run-store``). Each seam has a contract worth pinning: a bit-equal
+target is served before any rotation (resume stays bit-identical), a
+rigid copy is served through one rotation, and a store handed to a
+pipeline that cannot use it is an error, not a silent no-op.
 """
 
 import numpy as np
@@ -14,9 +14,8 @@ import pytest
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.geometry.water import random_rotation
-from repro.pipeline.cache import ResponseCache
+from repro.pipeline.cache import RunStore
 from repro.pipeline.executor import FragmentTask
-from repro.pipeline.resilience import RunStore
 
 
 def _water(i: int = 0) -> Geometry:
@@ -45,15 +44,16 @@ def _response(g: Geometry, seed: int = 0) -> FragmentResponse:
     )
 
 
-def test_response_cache_rigid_fallback_hits_rotated_copy(tmp_path):
-    cache = ResponseCache(tmp_path, canonical="rigid")
+def test_rotated_copy_hits_with_same_spectrum(tmp_path):
+    store = RunStore(tmp_path)
     g = _water()
-    cache.store(_response(g), "sto-3g", 5.0e-3)
+    store.store(FragmentTask(index=0, label="w", geometry=g), _response(g))
     copy = _rotated(g)
-    got = cache.load(copy, "sto-3g", 5.0e-3)
+    got = store.load(FragmentTask(index=1, label="w'", geometry=copy))
     assert got is not None
-    assert cache.hits == 1
-    # sanity: the rotated-back Hessian has the same spectrum
+    assert store.hits == 1 and store.rotations == 1
+    assert got.geometry is copy
+    # sanity: the rotated Hessian has the same spectrum
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(got.hessian)),
         np.sort(np.linalg.eigvalsh(_response(g).hessian)),
@@ -61,102 +61,78 @@ def test_response_cache_rigid_fallback_hits_rotated_copy(tmp_path):
     )
 
 
-def test_response_cache_off_mode_misses_rotated_copy(tmp_path):
-    cache = ResponseCache(tmp_path, canonical="off")
-    g = _water()
-    cache.store(_response(g), "sto-3g", 5.0e-3)
-    assert cache.load(_rotated(g), "sto-3g", 5.0e-3) is None
-    assert cache.load(g, "sto-3g", 5.0e-3) is not None
-
-
 def test_run_store_canonical_fallback_and_exact_first(tmp_path):
-    store = RunStore(tmp_path, canonical="rigid")
+    store = RunStore(tmp_path)
     g = _water()
     task = FragmentTask(index=0, label="w0", geometry=g)
     resp = _response(g)
     store.store(task, resp)
 
-    # a rotated copy (a different exact key) hits via the canonical
-    # sidecar — this is what a re-oriented resume looks like
+    # a rotated copy shares the key — this is what a re-oriented
+    # resume looks like — and is served through one rotation
     moved = FragmentTask(index=1, label="w0'", geometry=_rotated(g))
-    got = store.load(moved)
-    assert got is not None
-    assert store.canonical is not None
-    assert store.canonical.hits == 1
+    assert store.key_for(moved) == store.key_for(task)
+    assert store.load(moved) is not None
+    assert store.rotations == 1
 
-    # the exact frag_ checkpoint wins over the canonical entry: poison
-    # the canonical file and the identical-geometry load is unaffected
-    for p in tmp_path.glob("canon_*.npz"):
-        p.write_bytes(b"\x00poisoned")
+    # the writer's own geometry gets the stored arrays untouched
     exact = store.load(task)
     assert exact is not None
+    assert store.rotations == 1
     np.testing.assert_array_equal(exact.hessian, resp.hessian)
+    np.testing.assert_array_equal(exact.dalpha_dr, resp.dalpha_dr)
+    assert len(store) == 1
 
 
 def test_run_store_off_by_default(tmp_path, monkeypatch):
-    monkeypatch.delenv("QF_CANON", raising=False)
-    store = RunStore(tmp_path)
-    assert store.canonical is None
-    g = _water()
-    store.store(FragmentTask(index=0, label="w", geometry=g), _response(g))
-    assert store.load(
-        FragmentTask(index=1, label="w'", geometry=_rotated(g))
-    ) is None
-
-
-def test_run_store_mode_from_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("QF_CANON", "rigid")
-    assert RunStore(tmp_path).canonical is not None
-    monkeypatch.setenv("QF_CANON", "bogus")
-    with pytest.raises(ValueError, match="QF_CANON"):
-        RunStore(tmp_path)
-
-
-def test_pipeline_mode_resolution(tmp_path, monkeypatch):
+    """No store unless one is passed: the pipeline runs the plain
+    backend, and nothing is persisted anywhere."""
     from repro.pipeline import QFRamanPipeline
 
-    monkeypatch.delenv("QF_CANON", raising=False)
+    monkeypatch.chdir(tmp_path)
+    result = QFRamanPipeline(waters=[_water()], compute_raman=False).run()
+    assert result.canonical is None
+    assert result.throughput.resilience is None
+    assert result.unique_pieces == 1
+    assert not list(tmp_path.rglob("*.npz"))
+
+
+def test_pipeline_store_resolution(tmp_path):
+    from repro.pipeline import QFRamanPipeline
+    from repro.pipeline.executor import SerialExecutor
+    from repro.pipeline.resilience import ResilientExecutor
+
     waters = [_water()]
+    assert QFRamanPipeline(waters=waters).run_store is None
+    pipe = QFRamanPipeline(waters=waters, run_store=tmp_path / "a")
+    assert isinstance(pipe.run_store, RunStore)
 
-    # no store directory, no env: off
-    pipe = QFRamanPipeline(waters=waters)
-    assert pipe.canonical_mode == "off" and pipe.canonical is None
+    # a ready instance cannot take the pipeline's store: refuse it
+    # instead of running without the store the caller asked for
+    with pytest.raises(ValueError, match="run_store.*serial"):
+        QFRamanPipeline(waters=waters, executor=SerialExecutor(),
+                        run_store=tmp_path / "b")
 
-    # a store directory implies rigid
-    pipe = QFRamanPipeline(waters=waters,
-                           canonical_cache=str(tmp_path / "a"))
-    assert pipe.canonical_mode == "rigid" and pipe.canonical is not None
-
-    # the env overrides the implied default...
-    monkeypatch.setenv("QF_CANON", "exact")
-    pipe = QFRamanPipeline(waters=waters,
-                           canonical_cache=str(tmp_path / "b"))
-    assert pipe.canonical_mode == "exact"
-
-    # ...and the explicit parameter overrides the env
-    pipe = QFRamanPipeline(waters=waters,
-                           canonical_cache=str(tmp_path / "c"),
-                           canonical_mode="rigid")
-    assert pipe.canonical_mode == "rigid"
-
-    # off with a directory: store stays disabled
-    pipe = QFRamanPipeline(waters=waters,
-                           canonical_cache=str(tmp_path / "d"),
-                           canonical_mode="off")
-    assert pipe.canonical is None
+    # ...unless it is a resilient executor that already has one
+    with ResilientExecutor(base="serial", store=tmp_path / "c") as ex:
+        pipe = QFRamanPipeline(waters=waters, executor=ex)
+        assert pipe.run_store is ex.store
+        pipe = QFRamanPipeline(waters=waters, executor=ex,
+                               run_store=tmp_path / "c")
+        assert pipe.run_store is ex.store
 
 
-def test_cli_flags_parse_and_forward(monkeypatch):
-    from repro.cli import _canonical_kwargs
+def test_cli_flags_parse_and_forward(tmp_path):
+    import argparse
 
-    class Args:
-        canonical_cache = "runs/canon"
-        canonical = "rigid"
+    from repro.cli import _apply_resilience, main
 
-    assert _canonical_kwargs(Args()) == {
-        "canonical_cache": "runs/canon", "canonical_mode": "rigid",
-    }
-    Args.canonical = None
-    assert _canonical_kwargs(Args()) == {"canonical_cache": "runs/canon"}
-    Args.canonical_cache = None
-    assert _canonical_kwargs(Args()) == {}
+    args = argparse.Namespace(inject_faults=None, retries=None,
+                              timeout_s=None, failure_policy=None,
+                              run_store=str(tmp_path))
+    assert _apply_resilience(args)["run_store"] == str(tmp_path)
+    # the store options are --run-store alone
+    for gone in (["--canonical-cache", str(tmp_path)],
+                 ["--canonical", "rigid"]):
+        with pytest.raises(SystemExit):
+            main(["water-raman", "--n", "1", *gone])

@@ -25,13 +25,14 @@ from hypothesis import strategies as st
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.geometry.water import random_rotation
+from repro.pipeline.cache import RunStore
 from repro.pipeline.canonical import (
     CANON_DECIMALS,
-    CanonicalStore,
     canonical_key,
     canonicalize,
     permute_response,
 )
+from repro.pipeline.executor import FragmentTask
 from repro.pipeline.rigid import kabsch_rotation, rotate_response
 
 # -- strategies -----------------------------------------------------------
@@ -188,9 +189,9 @@ def test_store_load_round_trip_is_identity(geom_spec, seed, resp_seed):
     copy = _transformed(geometry, seed)
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = CanonicalStore(tmp, mode="rigid")
-        store.store(geometry, response, "sto-3g", 5.0e-3)
-        got = store.load(copy, "sto-3g", 5.0e-3)
+        store = RunStore(tmp)
+        store.store(FragmentTask(0, "g", geometry), response)
+        got = store.load(FragmentTask(1, "copy", copy))
     assert got is not None, "rigid copy must hit"
 
     # reference: replay _transformed's draws to recover the applied

@@ -1,6 +1,6 @@
-"""Durability tests for the shared canonical store.
+"""Durability tests for the shared response store.
 
-The canonical store is *global*: several runs — possibly several
+The response store is *global*: several runs — possibly several
 processes — share one directory across sessions. That only works if
 
 * a reader racing a writer never sees a torn entry (the atomic
@@ -25,7 +25,9 @@ import pytest
 
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
-from repro.pipeline.canonical import CanonicalStore, canonicalize
+from repro.pipeline.cache import RunStore
+from repro.pipeline.canonical import canonicalize
+from repro.pipeline.executor import FragmentTask
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -35,6 +37,10 @@ def _geometry(i: int) -> Geometry:
                     np.array([[0.0, 0.0, 0.0],
                               [1.8 + 0.01 * i, 0.0, 0.0],
                               [-0.45, 1.75, 0.0]]))
+
+
+def _task(geometry: Geometry) -> FragmentTask:
+    return FragmentTask(index=0, label="w", geometry=geometry)
 
 
 def _response(i: int) -> FragmentResponse:
@@ -57,7 +63,12 @@ import numpy as np
 sys.path.insert(0, {src!r})
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
-from repro.pipeline.canonical import CanonicalStore
+from repro.pipeline.cache import RunStore
+from repro.pipeline.executor import FragmentTask
+
+
+def _task(i):
+    return FragmentTask(index=i, label="w", geometry=_geometry(i))
 
 
 def _geometry(i):
@@ -80,31 +91,28 @@ def _response(i):
     )
 
 
-store = CanonicalStore(sys.argv[1], mode="rigid")
+store = RunStore(sys.argv[1])
 mode = sys.argv[2]
 if mode == "sweep":
     for i in range(20):
-        store.store(_geometry(i), _response(i), "sto-3g", 5.0e-3)
+        store.store(_task(i), _response(i))
     print("done", flush=True)
 else:   # hammer one entry forever (until killed)
     print("ready", flush=True)
     while True:
-        store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
+        store.store(_task(0), _response(0))
 """.format(src=SRC)
 
 
-def _assert_entry_exact(store: CanonicalStore, i: int) -> None:
+def _assert_entry_exact(store: RunStore, i: int) -> None:
     """A loaded entry for the *identical* geometry must match the
-    written response bit for bit (identity rotation, identity perm)."""
-    got = store.load(_geometry(i), "sto-3g", 5.0e-3)
+    written response bit for bit (no rotation, no permutation)."""
+    got = store.load(_task(_geometry(i)))
     assert got is not None
     ref = _response(i)
-    np.testing.assert_allclose(got.hessian, ref.hessian,
-                               rtol=0.0, atol=1.0e-12)
-    np.testing.assert_allclose(got.dalpha_dr, ref.dalpha_dr,
-                               rtol=0.0, atol=1.0e-12)
-    np.testing.assert_allclose(got.dmu_dr, ref.dmu_dr,
-                               rtol=0.0, atol=1.0e-12)
+    np.testing.assert_array_equal(got.hessian, ref.hessian)
+    np.testing.assert_array_equal(got.dalpha_dr, ref.dalpha_dr)
+    np.testing.assert_array_equal(got.dmu_dr, ref.dmu_dr)
     assert got.energy == ref.energy
 
 
@@ -118,12 +126,12 @@ def test_reader_never_sees_torn_entries_while_writer_runs():
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
-            store = CanonicalStore(tmp, mode="rigid")
+            store = RunStore(tmp)
             seen: set[int] = set()
             deadline = time.monotonic() + 120.0
             while len(seen) < 20 and time.monotonic() < deadline:
                 for i in range(20):
-                    got = store.load(_geometry(i), "sto-3g", 5.0e-3)
+                    got = store.load(_task(_geometry(i)))
                     if got is not None:
                         np.testing.assert_allclose(
                             got.hessian, _response(i).hessian,
@@ -166,14 +174,14 @@ def test_kill_mid_write_leaves_store_consistent():
                 proc.communicate()
 
         # a fresh process opening the directory after the crash
-        store = CanonicalStore(shared, mode="rigid")
+        store = RunStore(shared)
         assert len(store) in (0, 1)
         if len(store) == 1:
             _assert_entry_exact(store, 0)
             # bitwise identical to what an uninterrupted writer stores
             clean_dir = Path(tmp) / "clean"
-            clean = CanonicalStore(clean_dir, mode="rigid")
-            clean.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
+            clean = RunStore(clean_dir)
+            clean.store(_task(_geometry(0)), _response(0))
             (survivor,) = store._complete()
             (reference,) = clean._complete()
             with np.load(survivor) as a, np.load(reference) as b:
@@ -183,74 +191,87 @@ def test_kill_mid_write_leaves_store_consistent():
 
 
 def test_tmp_debris_is_invisible(tmp_path):
-    store = CanonicalStore(tmp_path, mode="rigid")
-    store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
-    key = store.key(_geometry(1), "sto-3g", 5.0e-3)
-    (tmp_path / f"canon_{key}.tmp.npz").write_bytes(b"\x00half a write")
+    store = RunStore(tmp_path)
+    store.store(_task(_geometry(0)), _response(0))
+    key = store.key_for(_task(_geometry(1)))
+    (tmp_path / f"{key}.tmp.npz").write_bytes(b"\x00half a write")
     assert len(store) == 1
-    assert store.load(_geometry(1), "sto-3g", 5.0e-3) is None
+    assert store.load(_task(_geometry(1))) is None
     _assert_entry_exact(store, 0)
 
 
 def test_corrupt_entry_degrades_to_miss(tmp_path):
-    store = CanonicalStore(tmp_path, mode="rigid")
-    path = store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
+    store = RunStore(tmp_path)
+    path = store.store(_task(_geometry(0)), _response(0))
     path.write_bytes(path.read_bytes()[: 40])     # truncate the zip
-    assert store.load(_geometry(0), "sto-3g", 5.0e-3) is None
+    assert store.load(_task(_geometry(0))) is None
     assert store.rejects == 1
+    path.write_bytes(b"")                         # and an empty file
+    assert store.load(_task(_geometry(0))) is None
+    assert store.rejects == 2 and store.misses == 2
+
+
+def test_load_leaves_no_open_handle(tmp_path):
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    store = RunStore(tmp_path)
+    path = store.store(_task(_geometry(0)), _response(0))
+    rotated = Geometry(["O", "H", "H"], _geometry(0).coords[:, [1, 0, 2]]
+                       * np.array([-1.0, 1.0, 1.0]))
+    assert store.load(_task(_geometry(0))) is not None
+    assert store.load(_task(rotated)) is not None
+    assert store.rotations == 1
+    open_files = set()
+    for fd in fds.iterdir():
+        try:
+            open_files.add(os.readlink(fd))
+        except OSError:
+            continue
+    assert str(path.resolve()) not in open_files
 
 
 def test_frame_mismatch_is_rejected_not_misrotated(tmp_path):
-    """An entry whose stored canonical coordinates disagree with the
+    """An entry whose stored writer geometry is not a rigid copy of the
     target's (a key collision or tampering) must become a miss — the
     silent-wrong-answer guard."""
-    store = CanonicalStore(tmp_path, mode="rigid")
-    path = store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
+    store = RunStore(tmp_path)
+    path = store.store(_task(_geometry(0)), _response(0))
     with np.load(path) as data:
         payload = {k: data[k].copy() for k in data.files}
-    payload["canon_coords"] = payload["canon_coords"] + 0.05
+    payload["coords"][1] += 0.05                  # deform the writer
     tmp = path.with_suffix(".tmp.npz")
     np.savez_compressed(tmp, **payload)
     tmp.replace(path)
-    assert store.load(_geometry(0), "sto-3g", 5.0e-3) is None
+    assert store.load(_task(_geometry(0))) is None
     assert store.rejects == 1
 
 
-def test_off_mode_stores_and_loads_nothing(tmp_path):
-    store = CanonicalStore(tmp_path / "store", mode="off")
-    assert store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3) is None
-    assert store.load(_geometry(0), "sto-3g", 5.0e-3) is None
-    assert not (tmp_path / "store").exists()
-
-
-def test_exact_mode_hits_only_bit_equal_geometries(tmp_path):
-    store = CanonicalStore(tmp_path, mode="exact")
-    store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
+def test_bit_equal_target_returns_stored_arrays_untouched(tmp_path):
+    store = RunStore(tmp_path)
+    store.store(_task(_geometry(0)), _response(0))
     _assert_entry_exact(store, 0)
-    # a rotated copy misses in exact mode
+    assert store.rotations == 0
+    # a rotated copy hits the same entry through one rotation
     rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     g = _geometry(0)
     rotated = Geometry(list(g.symbols), g.coords @ rot.T)
-    assert store.load(rotated, "sto-3g", 5.0e-3) is None
-    assert store.rotations == 0
-
-
-def test_invalid_mode_rejected(tmp_path):
-    with pytest.raises(ValueError, match="mode"):
-        CanonicalStore(tmp_path, mode="sloppy")
+    got = store.load(_task(rotated))
+    assert got is not None and store.rotations == 1
+    np.testing.assert_allclose(
+        got.hessian[:3, :3], rot @ _response(0).hessian[:3, :3] @ rot.T,
+        rtol=0.0, atol=1.0e-12,
+    )
 
 
 def test_stats_and_keys_accounting(tmp_path):
-    store = CanonicalStore(tmp_path, mode="rigid")
-    store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
-    store.load(_geometry(0), "sto-3g", 5.0e-3)
-    store.load(_geometry(1), "sto-3g", 5.0e-3)
+    store = RunStore(tmp_path)
+    store.store(_task(_geometry(0)), _response(0))
+    store.load(_task(_geometry(0)))
+    store.load(_task(_geometry(1)))
     stats = store.stats()
-    assert stats["mode"] == "rigid"
     assert stats["hits"] == 1 and stats["misses"] == 1
-    assert stats["writes"] == 1
+    assert stats["writes"] == 1 and stats["rejects"] == 0
     assert stats["hit_rate"] == 0.5
-    assert store.keys() == {
-        store.key(_geometry(0), "sto-3g", 5.0e-3)
-    }
+    assert store.keys() == {store.key_for(_task(_geometry(0)))}
     assert canonicalize(_geometry(0)).key != canonicalize(_geometry(1)).key

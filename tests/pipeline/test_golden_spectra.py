@@ -83,8 +83,7 @@ def test_waterbox2_canonical_rigid_equivalent_to_off(golden, tmp_path):
     store = tmp_path / "canonical"
 
     # cold run: no hits possible, spectrum must equal the plain one
-    pipe = golden.build_pipeline("waterbox2", canonical_cache=str(store),
-                                 canonical_mode="rigid")
+    pipe = golden.build_pipeline("waterbox2", run_store=str(store))
     cold = pipe.run(omega_cm1=golden.OMEGA_CM1, sigma_cm1=golden.SIGMA_CM1,
                     solver="dense")
     with np.load(golden.golden_path("waterbox2")) as ref:
@@ -103,8 +102,7 @@ def test_waterbox2_canonical_rigid_equivalent_to_off(golden, tmp_path):
         for w in water_box(2, seed=3)
     ]
     reset_counters()
-    warm = QFRamanPipeline(waters=moved, canonical_cache=str(store),
-                           canonical_mode="rigid").run(
+    warm = QFRamanPipeline(waters=moved, run_store=str(store)).run(
         omega_cm1=golden.OMEGA_CM1, sigma_cm1=golden.SIGMA_CM1,
         solver="dense",
     )

@@ -325,6 +325,28 @@ def test_run_store_resume_bit_identical(reference, tmp_path):
         assert np.array_equal(first[k].hessian, second[k].hessian)
 
 
+def test_torn_checkpoint_is_recomputed_on_resume(reference, tmp_path):
+    """A checkpoint truncated past the atomic-write protocol must not
+    abort the resumed run: it is a counted miss, and the fragment is
+    recomputed (and re-checkpointed) bit-identically."""
+    store = RunStore(tmp_path / "store")
+    policy = ResiliencePolicy(max_attempts=1)
+    with ResilientExecutor(base="serial", policy=policy, store=store) as ex:
+        ex.run(_tasks())
+    torn = store.directory / f"{store.key_for(_tasks()[0])}.npz"
+    torn.write_bytes(torn.read_bytes()[:40])
+
+    resumed = RunStore(store.directory)
+    with ResilientExecutor(base="serial", policy=policy,
+                           store=resumed) as ex:
+        responses, report = ex.run(_tasks())
+    _assert_bitwise(responses, reference)
+    assert report.resilience["store_hits"] == 1
+    assert report.resilience["store_writes"] == 1
+    assert resumed.rejects == 1
+    assert resumed.load(_tasks()[0]) is not None
+
+
 def test_run_store_key_ignores_index_and_attempt(tmp_path):
     store = RunStore(tmp_path)
     task = _tasks()[0]
@@ -439,7 +461,7 @@ def test_kill_mid_run_then_resume_bit_identical(
     first = subprocess.run(argv, env=env, cwd=REPO_ROOT,
                            capture_output=True, text=True, timeout=600)
     assert first.returncode == DIE_EXIT_CODE, first.stderr
-    finished = list(store.glob("frag_*.npz"))
+    finished = RunStore(store).keys()
     assert finished, "no checkpoint survived the kill"
     assert not out.exists()
 
