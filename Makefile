@@ -72,7 +72,7 @@ test-canonical:
 		tests/pipeline/test_golden_spectra.py
 
 # scalar-vs-batched integral kernel timings by angular class + the
-# per-task dispatch payload comparison; writes
+# pickled bytes per dispatched task; writes
 # benchmarks/output/bench_kernel_microbench.json (docs/performance.md)
 bench-kernels:
 	$(PYTHON) benchmarks/bench_kernel_microbench.py

@@ -6,10 +6,10 @@ For each angular-momentum shape class (ss, pp, dd, sp-mixed) this times
 * the one-electron matrix build (S + T + V) per shell pair,
 * the ERI tensor build per shell-pair^2 (small classes only),
 
-under ``QF_KERNELS=scalar`` and ``QF_KERNELS=batched``, asserting the
-two modes agree bit-identically on every matrix they build. It also
-records the per-task dispatch payload (pickled ``FragmentTask`` vs the
-shm wire tuples of :mod:`repro.pipeline.shm`), and times the Hermite
+under ``IntegralEngine(kernels="scalar")`` and ``kernels="batched"``,
+asserting the two modes agree bit-identically on every matrix they
+build. It also records the mean bytes of one pickled ``FragmentTask``
+(what the process backend ships per task), and times the Hermite
 Coulomb kernel ``hermite_coulomb_vec`` for total orders L = 1..7: the
 exact recursion-row and output-entry counts of the bounded, planned
 kernel next to those of the dense (L, L, L) cube it replaced, and the
@@ -124,12 +124,11 @@ def _bench_class(label, ls, npts, with_eri) -> dict:
     return row
 
 
-def _payload() -> dict:
+def _pickled_bytes_per_task() -> float:
     import pickle
 
     from repro.geometry import water_box
     from repro.pipeline.executor import FragmentTask
-    from repro.pipeline.shm import pack_tasks
 
     tasks = [
         FragmentTask(index=k, label=f"water-{k}", geometry=w,
@@ -137,18 +136,8 @@ def _payload() -> dict:
         for k, w in enumerate(water_box(8, seed=3))
     ]
     pickled = float(np.mean([len(pickle.dumps(t)) for t in tasks]))
-    arena, descs = pack_tasks(tasks)
-    try:
-        wire = float(np.mean([len(pickle.dumps(d.to_wire())) for d in descs]))
-    finally:
-        arena.close()
-    print(f"  payload/task: {pickled:.0f} B pickled -> {wire:.0f} B shm wire "
-          f"(x{pickled / wire:.1f} smaller)")
-    return {
-        "pickled_bytes_per_task": pickled,
-        "shm_wire_bytes_per_task": wire,
-        "payload_reduction": pickled / wire,
-    }
+    print(f"  payload/task: {pickled:.0f} B pickled")
+    return pickled
 
 
 #: charge pairs per timed ``hermite_coulomb_vec`` call
@@ -195,7 +184,8 @@ def run_microbench() -> dict:
         label: _bench_class(label, ls, npts, with_eri)
         for label, (ls, npts, with_eri) in CLASSES.items()
     }
-    payload = {"classes": rows, "task_payload": _payload(),
+    payload = {"classes": rows,
+               "pickled_bytes_per_task": _pickled_bytes_per_task(),
                "hermite_coulomb": _r_kernel()}
     save_result("bench_kernel_microbench", payload)
     return payload
@@ -207,7 +197,6 @@ def test_kernel_microbench():
     for label, row in payload["classes"].items():
         # bit-identity between dispatch modes is the hard contract
         assert row["max_abs_deviation"] == 0.0, label  # qf: exact-zero
-    assert payload["task_payload"]["payload_reduction"] >= 10.0
     assert payload["hermite_coulomb"]["orders"]["5"]["recursion_rows"] == 126
 
 

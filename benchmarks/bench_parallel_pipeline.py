@@ -13,10 +13,9 @@ container can expose fewer cores than ``os.cpu_count`` reports) and a
 overhead, so the run is recorded as ``inconclusive_single_core``
 instead of pretending the speedup number means anything.
 
-Also records the per-task dispatch payload: bytes pickled per task by
-the legacy whole-``FragmentTask`` transport vs the shared-memory wire
-tuples of :mod:`repro.pipeline.shm` (``payload_reduction`` is the
-ratio; the shm transport targets >= 10x).
+Also records the per-task dispatch payload: the mean bytes of one
+pickled ``FragmentTask`` (``pickled_bytes_per_task``), which is what
+the process backend ships per submission.
 
 Run standalone:  python benchmarks/bench_parallel_pipeline.py
 Under pytest:    pytest benchmarks/bench_parallel_pipeline.py -m slow
@@ -38,15 +37,6 @@ WORKERS = 4
 N_FRAGMENTS = 8
 ATOL = 1e-10
 SPEEDUP_TARGET = 2.0
-PAYLOAD_TARGET = 10.0
-
-
-def visible_cores() -> int:
-    """Cores this process may run on (affinity mask, not hardware count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _workload():
@@ -61,25 +51,9 @@ def _workload():
     ]
 
 
-def payload_comparison(tasks) -> dict:
-    """Bytes shipped per task: pickled FragmentTask vs shm wire tuple."""
-    from repro.pipeline.shm import pack_tasks
-
-    pickled = [len(pickle.dumps(t)) for t in tasks]
-    arena, descs = pack_tasks(tasks)
-    try:
-        wire = [len(pickle.dumps(d.to_wire())) for d in descs]
-        arena_bytes = arena.nbytes
-    finally:
-        arena.close()
-    mean_pickled = float(np.mean(pickled))
-    mean_wire = float(np.mean(wire))
-    return {
-        "pickled_bytes_per_task": mean_pickled,
-        "shm_wire_bytes_per_task": mean_wire,
-        "shm_arena_bytes": arena_bytes,
-        "payload_reduction": mean_pickled / mean_wire,
-    }
+def pickled_bytes_per_task(tasks) -> float:
+    """Mean bytes the process backend ships per task."""
+    return float(np.mean([len(pickle.dumps(t)) for t in tasks]))
 
 
 def canonical_comparison(tasks, responses) -> dict:
@@ -113,7 +87,7 @@ def canonical_comparison(tasks, responses) -> dict:
 
 
 def run_comparison() -> dict:
-    from repro.pipeline.executor import make_executor
+    from repro.pipeline.executor import make_executor, visible_cores
 
     tasks = _workload()
     runs = {}
@@ -153,7 +127,7 @@ def run_comparison() -> dict:
         "process_fragments_per_s": par_report.fragments_per_s,
         "process_worker_utilization": par_report.worker_utilization,
         "max_hessian_deviation": max_dev,
-        "task_payload": payload_comparison(tasks),
+        "pickled_bytes_per_task": pickled_bytes_per_task(tasks),
         "canonical_cache": canonical_comparison(tasks, ser),
         "serial_report": ser_report.as_dict(),
         "process_report": par_report.as_dict(),
@@ -161,10 +135,8 @@ def run_comparison() -> dict:
     print(f"  speedup x{speedup:.2f} on {cores} visible cores "
           f"(of {os.cpu_count()} reported) -> {verdict} "
           f"(max |dH| = {max_dev:.2e})")
-    tp = payload["task_payload"]
-    print(f"  payload/task: {tp['pickled_bytes_per_task']:.0f} B pickled -> "
-          f"{tp['shm_wire_bytes_per_task']:.0f} B shm wire "
-          f"(x{tp['payload_reduction']:.1f} smaller)")
+    print(f"  payload/task: {payload['pickled_bytes_per_task']:.0f} B "
+          f"pickled")
     cc = payload["canonical_cache"]
     print(f"  run store: {cc['hits']}/{cc['hits'] + cc['misses']} "
           f"hits (rate {cc['hit_rate']:.2f}), "
@@ -181,9 +153,6 @@ def test_parallel_pipeline_benchmark():
     assert payload["max_hessian_deviation"] <= ATOL
     assert payload["serial_fragments_per_s"] > 0
     assert payload["process_fragments_per_s"] > 0
-    # the shm transport must beat whole-task pickling by an order of
-    # magnitude regardless of core count
-    assert payload["task_payload"]["payload_reduction"] >= PAYLOAD_TARGET
     # the rigid canonical store must collapse the whole rigid-copy
     # workload onto its single stored entry
     assert payload["canonical_cache"]["hit_rate"] == 1.0

@@ -28,12 +28,6 @@ def _apply_sanitize(args) -> None:
     any executor pool workers (which inherit the environment)."""
     if getattr(args, "sanitize", False):
         os.environ["QF_SANITIZE"] = "1"
-    # kernel/transport selection must also be exported before any pool
-    # exists so forked workers inherit the same mode (docs/performance.md)
-    if getattr(args, "kernels", None):
-        os.environ["QF_KERNELS"] = args.kernels
-    if getattr(args, "shm", None):
-        os.environ["QF_SHM"] = "1" if args.shm == "on" else "0"
 
 
 def _apply_resilience(args):
@@ -322,22 +316,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         p.add_argument(
             "--workers", type=int, default=None,
-            help="worker processes for parallel backends (default: cpu count)",
+            help="worker processes for parallel backends (default: the "
+                 "cores this process may run on)",
         )
         p.add_argument(
             "--sanitize", action="store_true",
             help="enable the runtime numerical sanitizer "
                  "(= QF_SANITIZE=1; see docs/static_analysis.md)",
-        )
-        p.add_argument(
-            "--kernels", choices=("scalar", "batched"), default=None,
-            help="integral kernel dispatch (= QF_KERNELS; default "
-                 "batched — bit-identical modes, see docs/performance.md)",
-        )
-        p.add_argument(
-            "--shm", choices=("on", "off"), default=None,
-            help="shared-memory task transport for the process backend "
-                 "(= QF_SHM; default on, see docs/performance.md)",
         )
         p.add_argument(
             "--trace", default=None, metavar="FILE",

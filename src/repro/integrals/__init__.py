@@ -2,9 +2,8 @@
 
 Two implementations of the McMurchie–Davidson scheme:
 
-* :mod:`repro.integrals.mcmurchie` — scalar reference, memoized
-  recursions, any angular momentum. Used for validation and as the
-  fallback for rare integral classes.
+* :mod:`repro.integrals.mcmurchie` — scalar reference recursions, any
+  angular momentum. Used for validation only.
 * :mod:`repro.integrals.engine` — vectorized engine used by the SCF and
   DFPT code: one-electron matrices, Schwarz-screened ERI tensor, dipole
   integrals, and first-derivative integrals for analytic gradients.

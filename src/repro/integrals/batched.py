@@ -1,4 +1,4 @@
-"""Batched shell-pair kernel layer (``QF_KERNELS=batched``).
+"""Batched shell-pair kernel layer (the default ``kernels="batched"`` mode).
 
 The vectorized engine in :mod:`repro.integrals.engine` already
 evaluates each angular-momentum class with one einsum, but three
@@ -19,7 +19,7 @@ This module supplies the batched replacements:
   primitive arrays with numpy gathers; the per-pair python loop is
   gone. The arrays are **bit-identical** to the scalar builder's
   (every element undergoes the same scalar arithmetic, just in array
-  form), which is what lets the ``QF_KERNELS`` toggle promise
+  form), which is what lets the two kernel modes promise
   bit-identical spectra.
 * :func:`scatter_symmetric` / :func:`scatter_ordered` /
   :func:`scatter_pairs_aux` — precomputed flat-index scatter plans
@@ -28,8 +28,9 @@ This module supplies the batched replacements:
   8-fold ERI image scatter keeps its sequential loop because its
   overlapping writes rely on last-write-wins ordering (see
   ``IntegralEngine._scatter_eri``).
-* :func:`kernels_mode` — the ``QF_KERNELS`` toggle (``batched`` is the
-  default; ``scalar`` selects the reference loops).
+* :func:`kernels_mode` — resolves ``IntegralEngine(kernels=...)``
+  (``batched`` is the default; ``scalar`` selects the reference loops
+  the equivalence tests compare against).
 
 Class contractions are accounted through the
 :func:`repro.kernels.batched.kernel_seam` executor (useful vs
@@ -39,15 +40,12 @@ docs/performance.md for the layout and the counter glossary.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.basis.gaussian import Shell
 from repro.obs.counters import counters
 
 __all__ = [
-    "KERNELS_ENV",
     "kernels_mode",
     "build_pair_blocks_batched",
     "scatter_symmetric",
@@ -55,24 +53,20 @@ __all__ = [
     "scatter_pairs_aux",
 ]
 
-KERNELS_ENV = "QF_KERNELS"
 _MODES = ("scalar", "batched")
 
 
 def kernels_mode(override: str | None = None) -> str:
     """Resolve the integral-kernel mode: ``scalar`` or ``batched``.
 
-    ``override`` (e.g. an ``IntegralEngine(kernels=...)`` argument)
-    wins over the ``QF_KERNELS`` environment variable; the default is
-    ``batched``. Workers inherit the environment, so one setting
-    governs a whole pool run.
+    ``override`` is the ``IntegralEngine(kernels=...)`` argument; the
+    default is ``batched``.
     """
-    mode = override or os.environ.get(KERNELS_ENV, "") or "batched"
-    mode = mode.lower()
+    mode = (override or "batched").lower()
     if mode not in _MODES:
         raise ValueError(
             f"unknown integral kernel mode {mode!r} "
-            f"(QF_KERNELS expects one of {_MODES})"
+            f"(expected one of {_MODES})"
         )
     return mode
 

@@ -496,8 +496,8 @@ class IntegralEngine:
         self.charges = np.asarray(charges, dtype=float).ravel()
         self.coords = np.asarray(coords, dtype=float).reshape(-1, 3)
         self.nbf = basis.nbf
-        #: "scalar" | "batched" — resolved from the argument or QF_KERNELS
-        #: (docs/performance.md); both modes are bit-identical, batched
+        #: "scalar" | "batched" (default) — see docs/performance.md; both
+        #: modes are bit-identical, batched
         #: replaces the per-pair python loops with packed array kernels
         self.kernels = kernels_mode(kernels)
         counters().inc(f"kernels.engines_{self.kernels}")

@@ -15,117 +15,11 @@ Helgaker, Jørgensen, Olsen, "Molecular Electronic-Structure Theory".
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.special import gammainc, gamma as gamma_fn
 
 from repro.basis.gaussian import Shell
-from repro.obs.counters import counters
-
-
-# ---------------------------------------------------------------------------
-# bounded recursion memos
-# ---------------------------------------------------------------------------
-
-MEMO_ENV = "QF_MEMO_SIZE"
-_MEMO_DEFAULT = 4096
-
-#: module-aggregate memo statistics; shipped to :mod:`repro.obs`
-#: counters by :func:`flush_memo_stats` at shell granularity (never per
-#: primitive — the audit must not cost what it measures)
-_MEMO_STATS = {"hits": 0, "misses": 0, "evictions": 0, "peak": 0}
-_MEMO_PEAK_SHIPPED = 0
-
-
-def memo_bound() -> int:
-    """Per-memo entry bound: ``QF_MEMO_SIZE`` env override, default 4096."""
-    raw = os.environ.get(MEMO_ENV, "")
-    if not raw:
-        return _MEMO_DEFAULT
-    try:
-        bound = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{MEMO_ENV} must be a positive integer, got {raw!r}"
-        ) from exc
-    if bound < 1:
-        raise ValueError(f"{MEMO_ENV} must be >= 1, got {bound}")
-    return bound
-
-
-class BoundedMemo(dict):
-    """LRU-bounded dict for the E/R recursion memos.
-
-    The memos are already scoped to a single primitive evaluation (keys
-    are small integer tuples, so a handful of entries each), but a
-    pathological angular momentum or a buggy caller could still grow one
-    without limit; this bound makes that impossible and auditable. On a
-    hit the entry is refreshed (true LRU); when full, the least recently
-    used entry is evicted. Hits/misses/evictions/peak-size aggregate
-    into module stats, surfaced as ``mcmurchie.memo_*`` counters.
-    """
-
-    __slots__ = ("maxsize",)
-
-    def __init__(self, maxsize: int | None = None):
-        super().__init__()
-        self.maxsize = memo_bound() if maxsize is None else maxsize
-
-    def get(self, key, default=None):
-        try:
-            val = super().pop(key)
-        except KeyError:
-            _MEMO_STATS["misses"] += 1
-            return default
-        # re-insert: dict preserves insertion order, so the newest entry
-        # moves to the back and front-of-dict is always the LRU victim
-        super().__setitem__(key, val)
-        _MEMO_STATS["hits"] += 1
-        return val
-
-    def __setitem__(self, key, val):
-        if key not in self and len(self) >= self.maxsize:
-            del self[next(iter(self))]
-            _MEMO_STATS["evictions"] += 1
-        super().__setitem__(key, val)
-        if len(self) > _MEMO_STATS["peak"]:
-            _MEMO_STATS["peak"] = len(self)
-
-
-def memo_stats() -> dict[str, int]:
-    """Snapshot of the module-aggregate memo statistics."""
-    return dict(_MEMO_STATS)
-
-
-def reset_memo_stats() -> None:
-    """Zero the aggregate memo statistics (tests/benchmarks)."""
-    global _MEMO_PEAK_SHIPPED
-    for key in _MEMO_STATS:
-        _MEMO_STATS[key] = 0
-    _MEMO_PEAK_SHIPPED = 0
-
-
-def flush_memo_stats() -> None:
-    """Ship aggregate memo stats into the :mod:`repro.obs` registry.
-
-    ``mcmurchie.memo_hits`` / ``memo_misses`` / ``memo_evictions`` are
-    monotonic totals; ``mcmurchie.memo_peak_entries`` tracks the largest
-    single memo seen (shipped as increments so the inc-only registry
-    converges to the max). Called from the contracted-shell drivers, so
-    steady-state cost is one dict read per shell block.
-    """
-    global _MEMO_PEAK_SHIPPED
-    reg = counters()
-    for name in ("hits", "misses", "evictions"):
-        val = _MEMO_STATS[name]
-        if val:
-            reg.inc(f"mcmurchie.memo_{name}", val)
-            _MEMO_STATS[name] = 0
-    if _MEMO_STATS["peak"] > _MEMO_PEAK_SHIPPED:
-        reg.inc("mcmurchie.memo_peak_entries",
-                _MEMO_STATS["peak"] - _MEMO_PEAK_SHIPPED)
-        _MEMO_PEAK_SHIPPED = _MEMO_STATS["peak"]
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +42,7 @@ def _e_memo(i: int, j: int, t: int, qx: float, a: float, b: float,
             memo: dict) -> float:
     # memo keys on (i, j, t) only — (qx, a, b) are fixed per evaluation,
     # so the dict lives exactly as long as one primitive integral and
-    # never accumulates float-keyed entries across geometries (the old
-    # module-wide lru_cache had near-zero hit rates across geometries
-    # but grew without bound over a long pipeline run)
+    # never accumulates float-keyed entries across geometries
     if t < 0 or t > i + j:
         return 0.0
     key = (i, j, t)
@@ -177,11 +69,6 @@ def _e_memo(i: int, j: int, t: int, qx: float, a: float, b: float,
     return val
 
 
-def _e_cached(i: int, j: int, t: int, qx: float, a: float, b: float) -> float:
-    """Single E coefficient with a fresh per-call memo (compat shim)."""
-    return _e_memo(i, j, t, qx, a, b, BoundedMemo())
-
-
 def hermite_e(i: int, j: int, t: int, qx: float, a: float, b: float,
               memo: dict | None = None) -> float:
     """Hermite expansion coefficient E_t^{ij} for a 1D Gaussian product.
@@ -190,7 +77,7 @@ def hermite_e(i: int, j: int, t: int, qx: float, a: float, b: float,
     ``memo`` (optional) shares recursion work across calls with the
     same (qx, a, b) — callers evaluating many t values pass one dict.
     """
-    return _e_memo(i, j, t, qx, a, b, BoundedMemo() if memo is None else memo)
+    return _e_memo(i, j, t, qx, a, b, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +87,7 @@ def hermite_e(i: int, j: int, t: int, qx: float, a: float, b: float,
 def _r_memo(t: int, u: int, v: int, n: int, p: float,
             x: float, y: float, z: float, memo: dict) -> float:
     # memo keys on (t, u, v, n) only — (p, x, y, z) are fixed per
-    # evaluation (same bounded-lifetime scheme as _e_memo)
+    # evaluation (same per-evaluation lifetime as _e_memo)
     if t < 0 or u < 0 or v < 0:
         return 0.0
     key = (t, u, v, n)
@@ -228,8 +115,8 @@ def _r_memo(t: int, u: int, v: int, n: int, p: float,
 
 def _r_cached(t: int, u: int, v: int, n: int, p: float,
               x: float, y: float, z: float) -> float:
-    """Single R entry with a fresh per-call memo (compat shim)."""
-    return _r_memo(t, u, v, n, p, x, y, z, BoundedMemo())
+    """Single R entry with a fresh per-call memo."""
+    return _r_memo(t, u, v, n, p, x, y, z, {})
 
 
 def hermite_r(t: int, u: int, v: int, p: float, pq: np.ndarray,
@@ -240,16 +127,7 @@ def hermite_r(t: int, u: int, v: int, p: float, pq: np.ndarray,
     the same (p, PQ) — callers sweeping t/u/v pass one dict.
     """
     return _r_memo(t, u, v, 0, p, float(pq[0]), float(pq[1]), float(pq[2]),
-                   BoundedMemo() if memo is None else memo)
-
-
-def clear_caches() -> None:
-    """Compatibility no-op.
-
-    Memoization is now scoped to a single primitive-integral evaluation
-    (plain dicts keyed on small integer indices), so nothing persists at
-    module level and there is no cache left to clear.
-    """
+                   {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +165,7 @@ def nuclear_prim(a, lmn1, ra, b, lmn2, rb, rc) -> float:
     p = a + b
     cp = (a * np.asarray(ra) + b * np.asarray(rb)) / p
     pc = cp - np.asarray(rc)
-    ex_memo, ey_memo, ez_memo, r_memo = (
-        BoundedMemo(), BoundedMemo(), BoundedMemo(), BoundedMemo())
+    ex_memo, ey_memo, ez_memo, r_memo = {}, {}, {}, {}
     px, py, pz = float(pc[0]), float(pc[1]), float(pc[2])
     out = 0.0
     for t in range(lmn1[0] + lmn2[0] + 1):
@@ -319,9 +196,9 @@ def eri_prim(a, lmn1, ra, b, lmn2, rb, c, lmn3, rc, d, lmn4, rd) -> float:
     pq = rp - rq
     # one memo per 1D E series and one for the shared R recursion: all
     # calls below share (exponents, separations), so keys are pure ints
-    e1m = (BoundedMemo(), BoundedMemo(), BoundedMemo())
-    e2m = (BoundedMemo(), BoundedMemo(), BoundedMemo())
-    r_memo: dict = BoundedMemo()
+    e1m = ({}, {}, {})
+    e2m = ({}, {}, {})
+    r_memo: dict = {}
     qx, qy, qz = float(pq[0]), float(pq[1]), float(pq[2])
     out = 0.0
     for t in range(lmn1[0] + lmn2[0] + 1):
@@ -395,7 +272,6 @@ def _contract_pair(sha: Shell, shb: Shell, prim_fn) -> np.ndarray:
                 for cb, ab in zip(shb.coefs, shb.exps):  # qf: shell-loop — scalar reference driver
                     val += ca * cb * prim_fn(aa, lmn1, sha.center, ab, lmn2, shb.center)
             out[ia, ib] = val
-    flush_memo_stats()
     return out
 
 
@@ -444,5 +320,4 @@ def eri_shell(sha: Shell, shb: Shell, shc: Shell, shd: Shell) -> np.ndarray:
                                         )
                                     )
                     out[ia, ib, ic, id_] = val
-    flush_memo_stats()
     return out

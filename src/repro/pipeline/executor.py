@@ -11,9 +11,9 @@ local one. Three backends share one interface:
     A :class:`~concurrent.futures.ProcessPoolExecutor` over whole
     fragments: tasks are dispatched largest-first (big pieces dominate
     the makespan, so starting them early avoids tail stragglers — the
-    same descending-cost rule as the simulated balancer's task pool)
-    and in chunks to amortize inter-process overhead. Best when the
-    workload has at least as many pieces as cores.
+    same descending-cost rule as the simulated balancer's task pool),
+    one pickled task per submission. Best when the workload has at
+    least as many pieces as cores.
 ``displacement``
     Parallelism *inside* :func:`repro.dfpt.hessian.fragment_response`:
     the ~3N coordinate jobs of each fragment go to the pool while
@@ -57,7 +57,6 @@ from repro.pipeline.faults import (
     apply_post_fault,
     apply_pre_fault,
 )
-from repro.pipeline.shm import pack_tasks, rebuild_task, shm_enabled
 from repro.utils.timing import Stopwatch
 
 
@@ -162,8 +161,8 @@ class FragmentExecutorError(RuntimeError):
         super().__init__(msg)
 
 
-def _run_task(task: "FragmentTask | tuple") -> FragmentTaskResult:
-    """Execute one task (or shm wire tuple), capturing errors not raising.
+def _run_task(task: FragmentTask) -> FragmentTaskResult:
+    """Execute one task, capturing errors not raising.
 
     Module-level so it pickles into worker processes; the parent turns
     a captured error into :class:`FragmentExecutorError`. Telemetry
@@ -172,10 +171,6 @@ def _run_task(task: "FragmentTask | tuple") -> FragmentTaskResult:
     """
     sw = Stopwatch()
     with telemetry_shipment() as shipment:
-        if not isinstance(task, FragmentTask):
-            # shared-memory wire tuple: rebuild inside the shipment so
-            # the attach/rebuild counters travel back to the parent
-            task = rebuild_task(task)
         plan = active_fault_plan()
         fault = plan.lookup(task.label, task.attempt) \
             if plan is not None else None
@@ -213,21 +208,6 @@ def _run_task(task: "FragmentTask | tuple") -> FragmentTaskResult:
         spans=shipment.spans,
         counters=shipment.counters,
     )
-
-
-def _run_chunk(tasks: list[FragmentTask]) -> list[FragmentTaskResult]:
-    return [_run_task(t) for t in tasks]
-
-
-def _run_shm_chunk(wires: list) -> list[FragmentTaskResult]:
-    """Worker entry for shared-memory dispatch: wire tuples in, results out.
-
-    Each :class:`~repro.pipeline.shm.ShmTaskDescriptor` wire tuple is
-    rebuilt into a bit-identical ``FragmentTask`` from the arena mapped
-    into this worker (attached once per process), so the compute path
-    is the same as pickled dispatch — only the transport differs.
-    """
-    return [_run_task(w) for w in wires]
 
 
 def largest_first(tasks: list[FragmentTask]) -> list[FragmentTask]:
@@ -276,6 +256,15 @@ def blas_thread_counts() -> dict[str, int]:
     return {name: getter() for name, _, getter in _openblas_thread_functions()}
 
 
+def visible_cores() -> int:
+    """Cores this process may run on: its affinity mask, falling back
+    to the hardware count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
 def cap_blas_threads(max_workers: int) -> None:
     """Pool-worker initializer: share the visible cores among the pool.
 
@@ -287,7 +276,7 @@ def cap_blas_threads(max_workers: int) -> None:
     functions = _openblas_thread_functions()
     if not functions:
         return
-    n = max(1, len(os.sched_getaffinity(0)) // max_workers)
+    n = max(1, visible_cores() // max_workers)
     for _, setter, _ in functions:
         setter(n)
 
@@ -367,7 +356,7 @@ class FragmentExecutor:
     def __init__(self, max_workers: int | None = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers or os.cpu_count() or 1
+        self.max_workers = max_workers or visible_cores()
 
     def run(self, tasks: list[FragmentTask]
             ) -> tuple[dict[int, FragmentResponse], ThroughputReport]:
@@ -439,13 +428,12 @@ class SerialExecutor(FragmentExecutor):
 
 
 class ProcessExecutor(FragmentExecutor):
-    """Fragment-level process pool, largest-first chunked dispatch."""
+    """Fragment-level process pool, largest-first dispatch."""
 
     name = "process"
 
-    def __init__(self, max_workers: int | None = None, chunksize: int = 1):
+    def __init__(self, max_workers: int | None = None):
         super().__init__(max_workers)
-        self.chunksize = max(1, chunksize)
         self._pool = new_pool(self.max_workers)
 
     def close(self) -> None:
@@ -470,57 +458,32 @@ class ProcessExecutor(FragmentExecutor):
             )
 
     def run(self, tasks):
-        ordered = largest_first(tasks)
         sw = Stopwatch()
-        # shared-memory dispatch (QF_SHM, default on): geometry arrays
-        # go into one arena, the pool receives index-only descriptors —
-        # kilobytes per task instead of a pickled Geometry. The arena
-        # outlives every submission and is unlinked in the finally.
-        arena = None
-        if shm_enabled() and ordered:
-            arena, descs = pack_tasks(ordered)
-            units, entry = descs, _run_shm_chunk
-        else:
-            units, entry = ordered, _run_chunk
-        chunks = [
-            units[i: i + self.chunksize]
-            for i in range(0, len(units), self.chunksize)
-        ]
         results: list[FragmentTaskResult] = []
         pending = {
-            self._pool.submit(
-                entry,
-                [d.to_wire() for d in c] if arena is not None else c,
-            ): c
-            for c in chunks
+            self._pool.submit(_run_task, t): t for t in largest_first(tasks)
         }
         try:
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in finished:
-                    chunk = pending.pop(fut)
+                    task = pending.pop(fut)
                     try:
-                        chunk_results = fut.result()
+                        result = fut.result()
                     except BrokenProcessPool as exc:
                         # without this, a hard worker death surfaces as
                         # a bare BrokenProcessPool with no hint of what
-                        # was running; name the fragment(s) and phase
-                        labels = ",".join(t.label for t in chunk)
+                        # was running; name the fragment and phase
                         raise FragmentExecutorError(
-                            labels,
+                            task.label,
                             f"worker process died before returning "
                             f"({exc!r}) [phase=process]",
                         ) from exc
-                    results.extend(
-                        _check(r, phase="process") for r in chunk_results
-                    )
+                    results.append(_check(result, phase="process"))
         except Exception:
             for fut in pending:
                 fut.cancel()
             raise
-        finally:
-            if arena is not None:
-                arena.close()
         responses = {r.index: r.response for r in results}
         if determinism_check_enabled():
             verify_determinism(tasks, responses, phase="process")
@@ -619,15 +582,14 @@ _BACKENDS = {
 def make_executor(
     backend: str = "serial",
     max_workers: int | None = None,
-    chunksize: int = 1,
     resilience=None,
     run_store=None,
 ) -> FragmentExecutor:
     """Instantiate an executor backend by name.
 
-    ``max_workers`` defaults to the CPU count for the parallel
-    backends (ignored by ``serial``); ``chunksize`` only affects
-    ``process``. Passing a
+    ``max_workers`` defaults to the cores this process may run on (its
+    affinity mask) for the parallel backends (ignored by ``serial``).
+    Passing a
     :class:`~repro.pipeline.resilience.ResiliencePolicy` (or True for
     the defaults) and/or a ``run_store`` directory wraps the backend in
     the fault-tolerant :class:`~repro.pipeline.resilience.ResilientExecutor`
@@ -652,7 +614,4 @@ def make_executor(
             base=backend, max_workers=max_workers, policy=policy,
             store=run_store,
         )
-    cls = _BACKENDS[backend]
-    if cls is ProcessExecutor:
-        return cls(max_workers=max_workers, chunksize=chunksize)
-    return cls(max_workers=max_workers)
+    return _BACKENDS[backend](max_workers=max_workers)

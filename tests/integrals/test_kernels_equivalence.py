@@ -1,6 +1,6 @@
 """Scalar vs batched kernel dispatch must be *bit-identical*.
 
-The batched mode (``QF_KERNELS=batched``, the default) vectorizes only
+The batched mode (``kernels="batched"``, the default) vectorizes only
 control flow — class-grouped pair-block construction and precomputed
 scatter index plans — never the floating-point arithmetic itself, so
 every matrix an :class:`IntegralEngine` builds must match the scalar
@@ -186,15 +186,11 @@ def test_random_corpora_pair_blocks_identical(spec, seed):
 
 # -- mode plumbing ---------------------------------------------------------
 
-def test_kernels_mode_default_and_env(monkeypatch):
-    monkeypatch.delenv("QF_KERNELS", raising=False)
+def test_kernels_mode_default_and_env():
     assert kernels_mode() == "batched"
-    monkeypatch.setenv("QF_KERNELS", "scalar")
-    assert kernels_mode() == "scalar"
-    assert kernels_mode("batched") == "batched"   # explicit override wins
-    monkeypatch.setenv("QF_KERNELS", "typo")
+    assert kernels_mode("scalar") == "scalar"     # explicit override wins
     with pytest.raises(ValueError):
-        kernels_mode()
+        kernels_mode("typo")
 
 
 def test_engine_records_gemm_accounting():

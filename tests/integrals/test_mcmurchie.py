@@ -109,62 +109,3 @@ def test_dipole_translation_relation():
     d0 = mm.dipole_shell(sh1, sh2, 2, np.zeros(3))[0, 0]
     d1 = mm.dipole_shell(sh1, sh2, 2, np.array([0.0, 0.0, 0.5]))[0, 0]
     assert d1 == pytest.approx(d0 - 0.5 * s, rel=1e-12)
-
-
-# -- bounded memoization (QF_MEMO_SIZE, docs/performance.md) ---------------
-
-def test_bounded_memo_respects_bound_and_lru():
-    memo = mm.BoundedMemo(maxsize=3)
-    for k in range(3):
-        memo[k] = k * 10
-    assert memo.get(0) == 0          # refresh 0 -> LRU victim is now 1
-    memo[3] = 30
-    assert len(memo) == 3
-    assert 1 not in memo and 0 in memo and 3 in memo
-
-
-def test_memo_bound_env_override(monkeypatch):
-    monkeypatch.delenv(mm.MEMO_ENV, raising=False)
-    assert mm.memo_bound() == 4096
-    monkeypatch.setenv(mm.MEMO_ENV, "8")
-    assert mm.memo_bound() == 8
-    assert mm.BoundedMemo().maxsize == 8
-    for bad in ("zero", "0", "-3"):
-        monkeypatch.setenv(mm.MEMO_ENV, bad)
-        with pytest.raises(ValueError):
-            mm.memo_bound()
-
-
-def test_memo_bound_enforced_during_integration(monkeypatch):
-    """Even a tiny bound must hold throughout a real contracted d-shell
-    ERI evaluation — and the numbers may not change."""
-    sh1 = make_shell(2, (0.0, 0.1, 0.2), [1.3, 0.4], [0.7, 0.5])
-    sh2 = make_shell(1, (0.9, 0.0, 0.3), [0.8], [1.0])
-    from repro.obs.counters import counters
-
-    monkeypatch.delenv(mm.MEMO_ENV, raising=False)
-    ref = mm.eri_shell(sh1, sh2, sh2, sh1)
-    mm.reset_memo_stats()
-    reg = counters()
-    evicted_before = reg.get("mcmurchie.memo_evictions")
-    monkeypatch.setenv(mm.MEMO_ENV, "4")
-    tight = mm.eri_shell(sh1, sh2, sh2, sh1)
-    # the drivers flush hits/misses/evictions into the counter registry
-    # at shell granularity; peak survives in the module aggregate
-    assert mm.memo_stats()["peak"] <= 4
-    assert reg.get("mcmurchie.memo_evictions") > evicted_before
-    np.testing.assert_array_equal(ref, tight)
-    mm.reset_memo_stats()
-
-
-def test_memo_stats_flow_to_counters(monkeypatch):
-    from repro.obs.counters import counters
-
-    mm.reset_memo_stats()
-    reg = counters()
-    before = reg.get("mcmurchie.memo_hits")
-    sh = make_shell(1, (0.0, 0.0, 0.0), [0.9, 0.3], [0.6, 0.5])
-    mm.overlap_shell(sh, sh)         # drivers flush at shell granularity
-    assert reg.get("mcmurchie.memo_hits") > before
-    assert mm.memo_stats()["hits"] == 0   # flushed, not double-counted
-    mm.reset_memo_stats()

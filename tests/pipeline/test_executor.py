@@ -16,6 +16,7 @@ from repro.pipeline import QFRamanPipeline
 from repro.pipeline.executor import (
     OPENBLAS_THREAD_SYMBOLS,
     DisplacementExecutor,
+    FragmentExecutor,
     FragmentExecutorError,
     FragmentTask,
     ProcessExecutor,
@@ -107,6 +108,17 @@ def test_largest_first_order():
 def test_make_executor_rejects_unknown():
     with pytest.raises(ValueError, match="unknown executor backend"):
         make_executor("threads")
+
+
+def test_default_workers_follow_affinity_mask(monkeypatch):
+    """A process allowed on 1 of 8 cores gets one worker, not eight;
+    without an affinity call the hardware count is the fallback."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert FragmentExecutor().max_workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert FragmentExecutor().max_workers == 8
 
 
 def test_worker_exception_reraised_with_label():
